@@ -40,6 +40,30 @@ func schedArg(ctx context.Context) (float64, error) {
 	return acc, err
 }
 
+func eachAccumulates(ctx context.Context, xs []float64) (float64, error) {
+	var total float64
+	err := sched.Each(ctx, "sum", len(xs), 4, func(ctx context.Context, w, i int) error {
+		total += xs[i] // want `float accumulation into captured "total" inside a sched-scheduled closure`
+		return nil
+	})
+	return total, err
+}
+
+// eachSlots is the blessed discipline under sched.Each: each index
+// writes its own slot, and the caller merges in index order.
+func eachSlots(ctx context.Context, xs []float64) (float64, error) {
+	out := make([]float64, len(xs))
+	err := sched.Each(ctx, "scale", len(xs), 4, func(ctx context.Context, w, i int) error {
+		out[i] = 2 * xs[i]
+		return nil
+	})
+	var total float64
+	for _, v := range out {
+		total += v
+	}
+	return total, err
+}
+
 // sweepOK is the blessed discipline: accumulate locally, then write
 // into a disjoint slot of the shared slice.
 func sweepOK() []float64 {

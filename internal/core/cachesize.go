@@ -299,7 +299,7 @@ func refineWindow(m *topology.Machine, coreID int, cal *Calibration, opt Options
 		}
 	}
 	allocs := 3 * opt.Allocations
-	samples, err := sweepScratch(context.Background(), "mcal-refine", len(sizes), opt.Parallelism,
+	samples, err := sweep(context.Background(), "mcal-refine", len(sizes), opt.Parallelism,
 		func() *memsys.Instance { return memsys.NewInstanceAt(m, opt.Seed) },
 		func(in *memsys.Instance, i int) (mcalSample, error) {
 			var s mcalSample

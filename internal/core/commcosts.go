@@ -36,8 +36,8 @@ func CommunicationCosts(m *topology.Machine, messageBytes int64, opt Options) (r
 // CommunicationCostsContext is the context-aware CommunicationCosts:
 // cancelling the context aborts the sweep between measurements.
 //
-// Both phases run through the suite's sharded-sweep helper (see
-// shard.go): the O(n²) pair sweep over index-ordered chunks, the
+// Both phases run through the suite's sweep helper (see shard.go):
+// the O(n²) pair sweep as one measurement per pair class, the
 // per-layer bandwidth and scalability micro-benchmarks as one
 // measurement per layer. Workers only record raw latencies into
 // disjoint slots; probe-cost accounting, noise perturbation and layer
@@ -92,7 +92,7 @@ func CommunicationCostsContext(ctx context.Context, m *topology.Machine, message
 		}
 		classOf[i] = ci
 	}
-	repLats, err := sweep(ctx, "pairs", len(reps), opt.Parallelism, func(i int) ([]float64, error) {
+	repLats, err := sweep(ctx, "pairs", len(reps), opt.Parallelism, nil, func(_ struct{}, i int) ([]float64, error) {
 		a, b := reps[i][0], reps[i][1]
 		vec := make([]float64, len(layerSizes))
 		for si, size := range layerSizes {
@@ -159,7 +159,7 @@ func CommunicationCostsContext(ctx context.Context, m *topology.Machine, message
 		bw   []float64
 		scal []float64
 	}
-	layerRaws, err := sweep(ctx, "layer", len(lats), opt.Parallelism, func(i int) (layerRaw, error) {
+	layerRaws, err := sweep(ctx, "layer", len(lats), opt.Parallelism, nil, func(_ struct{}, i int) (layerRaw, error) {
 		rep := pairsPerLayer[i][0]
 		raw := layerRaw{
 			bw:   make([]float64, len(opt.BWSizes)),

@@ -81,7 +81,7 @@ func McalibratorContext(ctx context.Context, m *topology.Machine, core int, opt 
 	// The tracer (nil when untraced) counts pooled-instance traffic:
 	// fresh builds per worker vs in-place resets per measurement.
 	tr := obs.FromContext(ctx)
-	samples, err := sweepScratch(ctx, "mcal", len(sizes), opt.Parallelism,
+	samples, err := sweep(ctx, "mcal", len(sizes), opt.Parallelism,
 		func() *memsys.Instance {
 			tr.Count(obs.CounterMemsysFresh, 1)
 			return memsys.NewInstanceAt(m, opt.Seed)

@@ -48,7 +48,7 @@ func MemoryOverheadContext(ctx context.Context, m *topology.Machine, opt Options
 	var probeNS float64
 
 	pairs := allNodePairs(m)
-	raw, err := sweep(ctx, "mem", 1+len(pairs), opt.Parallelism, func(i int) (float64, error) {
+	raw, err := sweep(ctx, "mem", 1+len(pairs), opt.Parallelism, nil, func(_ struct{}, i int) (float64, error) {
 		if i == 0 {
 			return memsys.StreamBandwidth(m, 0, []int{0}), nil
 		}

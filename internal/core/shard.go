@@ -2,25 +2,23 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"servet/internal/obs"
 	"servet/internal/sched"
 )
 
-// This file is the suite's sharded-sweep framework. Every O(n) or
-// O(n²) measurement loop inside a probe — the communication-costs
-// pair sweep, the shared-cache (level, pair) sweep, the
-// memory-overhead pair sweep — runs through the same three-step
-// idiom:
+// This file is the suite's sweep helper. Every O(n) or O(n²)
+// measurement loop inside a probe — the communication-costs pair
+// sweep, the shared-cache (level, pair) sweep, the memory-overhead
+// pair sweep, the mcalibrator size grid — runs through the same
+// two-step idiom:
 //
-//  1. plan: chunkRanges splits the measurement indices into
-//     index-ordered contiguous chunks;
-//  2. measure: sweep fans the chunks over the engine's scheduler,
-//     each worker writing raw measurements into the disjoint slots of
-//     a shared result slice;
-//  3. merge: the caller walks the slots sequentially in index order,
+//  1. measure: sweep fans the measurement indices over sched.Each,
+//     whose workers pull the next index from a shared counter (so the
+//     expensive tail of a level-major sweep spreads over every worker)
+//     and write raw measurements into the disjoint slots of a shared
+//     result slice;
+//  2. merge: the caller walks the slots sequentially in index order,
 //     doing everything order-sensitive there — probe-cost accounting
 //     (a float sum), noise perturbation (stateless per measurement),
 //     clustering and derived curves.
@@ -30,125 +28,59 @@ import (
 // stable keys, never from execution order — the merged result is
 // byte-identical at any Options.Parallelism.
 
-// chunkRanges splits n work items into index-ordered, contiguous
-// [start, end) ranges — about four chunks per worker, so a chunk of
-// expensive items (e.g. cross-node pairs) cannot stall the whole
-// sweep behind one worker. The split depends only on (n, parallelism)
-// and workers write disjoint index ranges, so sharded sweeps merge
-// back in index order regardless of completion order.
-func chunkRanges(n, parallelism int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	chunks := parallelism * 4
-	if chunks > n {
-		chunks = n
-	}
-	out := make([][2]int, 0, chunks)
-	for c := 0; c < chunks; c++ {
-		start := c * n / chunks
-		end := (c + 1) * n / chunks
-		out = append(out, [2]int{start, end})
-	}
-	return out
-}
-
-// runShards executes independent measurement tasks over the engine's
-// scheduler and unwraps the first failure to the task's own error, so
-// probes report the same error text whether a measurement failed in a
-// worker or inline.
-func runShards(ctx context.Context, tasks []sched.Task, parallelism int) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	_, err := sched.Run(ctx, tasks, parallelism)
-	if err != nil {
-		var te *sched.TaskError
-		if errors.As(err, &te) {
-			return te.Err
-		}
-		return err
-	}
-	return nil
-}
-
-// sweep runs measure(i) for every i in [0, n), sharded into
-// index-ordered chunks over the engine's scheduler, and returns the
-// measurements in index order. measure must be independent per index
-// (it runs concurrently up to parallelism, with the context checked
-// between measurements); anything order-sensitive belongs in the
-// caller's sequential merge over the returned slice. A measurement
-// error (or cancellation) aborts the sweep and is returned unwrapped,
-// exactly as an inline loop would have reported it.
-func sweep[T any](ctx context.Context, name string, n, parallelism int, measure func(i int) (T, error)) ([]T, error) {
-	return sweepScratch(ctx, name, n, parallelism,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (T, error) { return measure(i) })
-}
-
-// sweepScratch is sweep with per-worker scratch: newScratch builds one
-// scratch per concurrently running chunk (pooled across chunks via a
-// free list), and every measurement runs as measure(scratch, i). The
-// pooled-instance sweeps use it to reuse one memsys.Instance — reset
-// in place between measurements — instead of rebuilding it per index.
+// sweep runs measure(scratch, i) for every i in [0, n) over
+// sched.Each and returns the measurements in index order. Each worker
+// that measures builds one scratch with newScratch (nil means the zero
+// S) at its first index and reuses it for every index it pulls; the
+// pooled-instance sweeps use it to reset one memsys.Instance in place
+// between measurements instead of rebuilding it per index.
 //
-// Which scratch serves which chunk depends on completion order, so a
-// scratch must carry no state a measurement observes: measure must
-// fully re-derive everything from its stable keys (for pooled
-// instances, ResetAt's bitwise-equivalence contract guarantees
-// exactly that), keeping results byte-identical at any parallelism.
-func sweepScratch[T, S any](ctx context.Context, name string, n, parallelism int, newScratch func() S, measure func(scratch S, i int) (T, error)) ([]T, error) {
+// Which worker measures which index depends on timing, so a scratch
+// must carry no state a measurement observes: measure must fully
+// re-derive everything from its stable keys (for pooled instances,
+// ResetAt's bitwise-equivalence contract guarantees exactly that).
+// measure runs concurrently up to parallelism; a measurement error (or
+// cancellation) aborts the sweep and is returned unwrapped, exactly as
+// an inline loop would have reported it.
+func sweep[T, S any](ctx context.Context, name string, n, parallelism int, newScratch func() S, measure func(scratch S, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	out := make([]T, n)
-	ranges := chunkRanges(n, parallelism)
-	// Chunk spans and scratch-pooling counters record into the
-	// context's tracer (nil when untraced): one "sweep" span per chunk
-	// named after the sweep, so per-sweep totals aggregate in the
-	// summary while the trace shows chunk scheduling across workers.
+	// One "sweep" span per worker that measured, named after the sweep
+	// and running from its first measurement to the end of the sweep,
+	// so per-sweep totals aggregate in the summary (nil tracer when
+	// untraced); sched.Each's own per-worker spans show when each
+	// worker ran out of indices.
 	tr := obs.FromContext(ctx)
-	// Free list of idle scratches: a chunk grabs one (or builds its
-	// own when none is idle) and returns it when done, so the number of
-	// live scratches is bounded by the peak number of concurrently
-	// running chunks, not by the chunk count.
-	pool := make(chan S, len(ranges))
-	tasks := make([]sched.Task, 0, len(ranges))
-	for ci, r := range ranges {
-		start, end := r[0], r[1]
-		tasks = append(tasks, sched.Task{
-			Name: fmt.Sprintf("%s:%d", name, ci),
-			Run: func(ctx context.Context) error {
-				sp := tr.Start("sweep", name)
-				defer sp.End()
-				var scratch S
-				select {
-				case scratch = <-pool:
-					tr.Count(obs.CounterScratchReused, 1)
-				default:
-					scratch = newScratch()
-					tr.Count(obs.CounterScratchFresh, 1)
-				}
-				defer func() { pool <- scratch }()
-				for i := start; i < end; i++ {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					v, err := measure(scratch, i)
-					if err != nil {
-						return err
-					}
-					out[i] = v
-				}
-				tr.Count(obs.CounterSweepMeasurements, int64(end-start))
-				return nil
-			},
-		})
+	type worker struct {
+		scratch  S
+		span     obs.Span
+		measured int64
 	}
-	if err := runShards(ctx, tasks, parallelism); err != nil {
+	workers := make([]worker, sched.Workers(n, parallelism))
+	err := sched.Each(ctx, name, n, parallelism, func(_ context.Context, w, i int) error {
+		wk := &workers[w]
+		if wk.measured == 0 {
+			wk.span = tr.Start("sweep", name)
+			if newScratch != nil {
+				wk.scratch = newScratch()
+			}
+			tr.Count(obs.CounterScratchFresh, 1)
+		}
+		v, err := measure(wk.scratch, i)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+		wk.measured++
+		return nil
+	})
+	for _, wk := range workers {
+		wk.span.End()
+		tr.Count(obs.CounterSweepMeasurements, wk.measured)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

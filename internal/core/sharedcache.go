@@ -114,8 +114,8 @@ func (sc *scScratch) measureRef(opt Options, level, alloc, ab int64) (avg, total
 // measurePair measures one (level, pair) concurrent traversal for one
 // placement on the pooled instance. The interleaved streams run
 // through RunConcurrentInto with the scratch's pooled buffers; the
-// statistics are bit-identical to the historical fresh-instance
-// RunConcurrent path.
+// statistics are bit-identical to measuring on a fresh instance per
+// placement.
 func (sc *scScratch) measurePair(opt Options, level int64, pi int, pair [2]int, alloc, ab int64) (avg, total float64) {
 	sc.in.ResetAt(opt.Seed, noiseShared, level, int64(pi), alloc)
 	spA, spB := sc.in.NewSpace(), sc.in.NewSpace()
@@ -167,7 +167,7 @@ func SharedCachePairsContext(ctx context.Context, m *topology.Machine, levels []
 	// The tracer (nil when untraced) counts pooled-instance traffic:
 	// fresh builds per worker vs in-place resets per placement.
 	tr := obs.FromContext(ctx)
-	samples, err := sweepScratch(ctx, "shared", len(levels)*stride, opt.Parallelism,
+	samples, err := sweep(ctx, "shared", len(levels)*stride, opt.Parallelism,
 		func() *scScratch {
 			tr.Count(obs.CounterMemsysFresh, 1)
 			return &scScratch{in: memsys.NewInstanceAt(m, opt.Seed)}

@@ -61,10 +61,10 @@ func (s *Suite) Mcalibrator(coreID int) Calibration {
 
 // CalibrateCores runs the Fig. 1 calibration loop on each of the given
 // node-local cores (no cores means all of them), fanning the per-core
-// runs over the engine's scheduler under Options.Parallelism. Each
-// measurement builds its own memory-system instance from stable keys —
-// exactly what Mcalibrator does per call — so the results are
-// identical to a sequential per-core loop at any parallelism.
+// runs over sched.Each under Options.Parallelism. Each measurement
+// builds its own memory-system instance from stable keys — exactly
+// what Mcalibrator does per call — so the results are identical to a
+// sequential per-core loop at any parallelism.
 // Calibrations come back in the order the cores were given.
 func (s *Suite) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration, error) {
 	if len(cores) == 0 {
@@ -79,24 +79,12 @@ func (s *Suite) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration
 		}
 	}
 	cals := make([]Calibration, len(cores))
-	tasks := make([]sched.Task, len(cores))
-	for i, c := range cores {
-		i, c := i, c
-		tasks[i] = sched.Task{
-			// Cores may repeat in the request; the index keeps task
-			// names unique.
-			Name: fmt.Sprintf("mcal:%d:%d", i, c),
-			Run: func(ctx context.Context) error {
-				cal, err := McalibratorContext(ctx, s.m, c, s.opt)
-				if err != nil {
-					return err
-				}
-				cals[i] = cal
-				return nil
-			},
-		}
-	}
-	if err := runShards(ctx, tasks, s.opt.Parallelism); err != nil {
+	err := sched.Each(ctx, "calibrate", len(cores), s.opt.Parallelism, func(ctx context.Context, _, i int) error {
+		cal, err := McalibratorContext(ctx, s.m, cores[i], s.opt)
+		cals[i] = cal
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return cals, nil

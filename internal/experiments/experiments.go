@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -123,8 +122,8 @@ func RunContext(ctx context.Context, id string, opt Opt) (*Result, error) {
 	return res, nil
 }
 
-// RunAll regenerates every experiment through the probe-engine
-// scheduler (internal/sched): the independent generators fan out over
+// RunAll regenerates every experiment through the engine's
+// parallel-for (sched.Each): the independent generators fan out over
 // at most Opt.Parallelism workers, and the results come back in id
 // order regardless of completion order. On failure it returns the
 // results that completed (still in id order) and the error of the
@@ -138,26 +137,11 @@ func RunAll(opt Opt) ([]*Result, error) {
 func RunAllContext(ctx context.Context, opt Opt) ([]*Result, error) {
 	ids := IDs()
 	slots := make([]*Result, len(ids))
-	tasks := make([]sched.Task, len(ids))
-	for i, id := range ids {
-		i, id := i, id
-		tasks[i] = sched.Task{
-			Name: id,
-			Run: func(ctx context.Context) error {
-				res, err := RunContext(ctx, id, opt)
-				if err != nil {
-					return err
-				}
-				slots[i] = res
-				return nil
-			},
-		}
-	}
-	_, err := sched.Run(ctx, tasks, opt.Parallelism)
-	var te *sched.TaskError
-	if errors.As(err, &te) {
-		err = te.Err // Run already prefixed the experiment id
-	}
+	err := sched.Each(ctx, "experiments", len(ids), opt.Parallelism, func(ctx context.Context, _, i int) error {
+		res, err := RunContext(ctx, ids[i], opt) // errors name the experiment id
+		slots[i] = res
+		return err
+	})
 	out := make([]*Result, 0, len(ids))
 	for _, res := range slots {
 		if res != nil {

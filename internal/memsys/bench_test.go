@@ -114,21 +114,23 @@ func benchStreams(in *Instance, cores int, bytes, stride int64) []Stream {
 
 func BenchmarkRunConcurrent2Streams(b *testing.B) {
 	m := topology.Dunnington()
+	stats := make([]StreamStats, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		in := NewInstance(m, 1)
 		streams := benchStreams(in, 2, 64*topology.KB, 1*topology.KB)
-		RunConcurrent(in, streams, 3)
+		RunConcurrentInto(in, streams, 3, stats)
 	}
 }
 
 func BenchmarkRunConcurrent16Streams(b *testing.B) {
 	m := topology.Dunnington()
+	stats := make([]StreamStats, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		in := NewInstance(m, 1)
 		streams := benchStreams(in, 16, 64*topology.KB, 1*topology.KB)
-		RunConcurrent(in, streams, 3)
+		RunConcurrentInto(in, streams, 3, stats)
 	}
 }
 

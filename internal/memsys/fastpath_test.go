@@ -95,7 +95,7 @@ func TestAccessRunAccumMatchesAccessLoop(t *testing.T) {
 
 // runConcurrentReference is the historical interleaver: a linear
 // min-clock scan (ties to the lowest index) issuing one access at a
-// time. RunConcurrent's heap must reproduce it exactly.
+// time. RunConcurrentInto's heap must reproduce it exactly.
 func runConcurrentReference(in *Instance, streams []Stream, passes int) []StreamStats {
 	stats := make([]StreamStats, len(streams))
 	if passes < 2 {
@@ -176,7 +176,8 @@ func TestRunConcurrentMatchesReference(t *testing.T) {
 			inRef, strRef := build()
 			inHeap, strHeap := build()
 			want := runConcurrentReference(inRef, strRef, tc.passes)
-			got := RunConcurrent(inHeap, strHeap, tc.passes)
+			got := make([]StreamStats, len(strHeap))
+			RunConcurrentInto(inHeap, strHeap, tc.passes, got)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("stream %d: heap %+v != reference %+v", i, got[i], want[i])

@@ -55,7 +55,7 @@ type Instance struct {
 	// rewinds spaceSeq and recycles them; NewSpace then hands the pooled
 	// spaces out again before allocating new ones.
 	spaces []*Space
-	// rc is RunConcurrent's reusable interleaver scratch.
+	// rc is RunConcurrentInto's reusable interleaver scratch.
 	rc runScratch
 }
 
@@ -138,7 +138,7 @@ func placementSeed(seed int64, keys []int64) int64 {
 // prefetchers, translation caches, page tables and frame bitset —
 // while retaining every backing capacity. The hard invariant: a reset
 // instance is bitwise-equivalent to a freshly built one, reproducing
-// identical access traces, translations and RunConcurrent statistics.
+// identical access traces, translations and RunConcurrentInto statistics.
 // Every Space and Array handed out before the reset is invalidated;
 // NewSpace recycles them in creation order. In steady state (once the
 // instance has served a measurement of each shape) a full reset-and-
@@ -400,7 +400,7 @@ func (s StreamStats) AvgCycles() float64 {
 }
 
 // streamHeap is a binary min-heap of stream indices ordered by
-// (clock, index): the stream RunConcurrent issues next. It replaces
+// (clock, index): the stream RunConcurrentInto issues next. It replaces
 // the O(streams) min-clock scan of the interleaver with O(log
 // streams) sift operations.
 type streamHeap struct {
@@ -462,7 +462,7 @@ type streamState struct {
 	pass int
 }
 
-// runScratch holds RunConcurrent's per-call buffers — stream cursors,
+// runScratch holds RunConcurrentInto's per-call buffers — stream cursors,
 // local clocks and the heap's index slab — pooled on the Instance so a
 // reset-and-measure cycle reruns concurrent streams without
 // allocating.
@@ -487,8 +487,8 @@ func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 	return st, clocks, rc.idx[:0]
 }
 
-// RunConcurrent interleaves the streams in virtual-time order: at each
-// step the stream with the smallest local clock issues its next
+// RunConcurrentInto interleaves the streams in virtual-time order: at
+// each step the stream with the smallest local clock issues its next
 // access (ties break by core id). Each stream performs `passes`
 // traversals; the first pass of each stream is warm-up and excluded
 // from its statistics, mirroring the array-initialization warming of
@@ -500,17 +500,10 @@ func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 // — identical selection order to the historical linear scan — and,
 // once a single stream remains, finishes it through the batched
 // AccessRun path.
-func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
-	stats := make([]StreamStats, len(streams))
-	RunConcurrentInto(in, streams, passes, stats)
-	return stats
-}
-
-// RunConcurrentInto is RunConcurrent writing into a caller-owned stats
-// buffer (len(stats) must equal len(streams)); the interleaver's own
-// buffers are pooled on the instance, so a warm caller pays zero
-// allocations per run. The statistics are bit-identical to
-// RunConcurrent's.
+//
+// Statistics land in the caller-owned stats buffer (len(stats) must
+// equal len(streams)); the interleaver's own buffers are pooled on the
+// instance, so a warm caller pays zero allocations per run.
 func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) {
 	if len(stats) != len(streams) {
 		panic(fmt.Sprintf("memsys: stats buffer for %d streams has length %d", len(streams), len(stats)))

@@ -218,10 +218,11 @@ func TestSharedCacheThrashBetweenCores(t *testing.T) {
 			}
 			return out
 		}
-		stats := RunConcurrent(in, []Stream{
+		stats := make([]StreamStats, 2)
+		RunConcurrentInto(in, []Stream{
 			{Core: 0, Space: spA, Addrs: addrs(a)},
 			{Core: coreB, Space: spB, Addrs: addrs(b)},
-		}, 4)
+		}, 4, stats)
 		return stats[0].AvgCycles()
 	}
 
@@ -240,10 +241,11 @@ func TestRunConcurrentEmptyAndShortStreams(t *testing.T) {
 	in := NewInstance(m, 7)
 	sp := in.NewSpace()
 	a := sp.Alloc(4 * topology.KB)
-	stats := RunConcurrent(in, []Stream{
+	stats := make([]StreamStats, 2)
+	RunConcurrentInto(in, []Stream{
 		{Core: 0, Space: sp, Addrs: nil},
 		{Core: 1, Space: sp, Addrs: []int64{a.Base}},
-	}, 3)
+	}, 3, stats)
 	if stats[0].Accesses != 0 {
 		t.Errorf("empty stream measured %d accesses", stats[0].Accesses)
 	}

@@ -217,10 +217,11 @@ func TestConcurrentStreamsConserveCost(t *testing.T) {
 		}
 		return out
 	}
-	stats := RunConcurrent(in, []Stream{
+	stats := make([]StreamStats, 2)
+	RunConcurrentInto(in, []Stream{
 		{Core: 0, Space: spA, Addrs: addrs(a)},
 		{Core: 1, Space: spB, Addrs: addrs(b)},
-	}, 3)
+	}, 3, stats)
 	for i, st := range stats {
 		wantAccesses := int64(2 * 64) // 2 measured passes x 64 addresses
 		if st.Accesses != wantAccesses {

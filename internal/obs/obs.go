@@ -1,9 +1,9 @@
 // Package obs is the suite's zero-perturbation observability layer: a
-// stdlib-only tracer that records spans (probe runs, sweep chunks,
+// stdlib-only tracer that records spans (probe runs, sweep workers,
 // scheduler task lifecycles, tune rounds) and named counters (cache
 // hits, pooled-instance resets, objective evaluations) as the engine
 // runs. It exists to answer "where did the time go" — which probes
-// dominated a report, how sweep chunks scheduled across workers,
+// dominated a report, how sweeps spread over their workers,
 // what the pooling saved — without ever feeding anything back into a
 // measurement.
 //
@@ -44,10 +44,9 @@ const (
 	// recycles of a pooled instance. Their ratio is the pooling win.
 	CounterMemsysFresh = "memsys.instance.fresh"
 	CounterMemsysReset = "memsys.instance.reset"
-	// CounterScratchFresh / CounterScratchReused count per-worker sweep
-	// scratch builds vs free-list reuses.
-	CounterScratchFresh  = "sweep.scratch.fresh"
-	CounterScratchReused = "sweep.scratch.reused"
+	// CounterScratchFresh counts sweep scratches built: one per worker
+	// that measured.
+	CounterScratchFresh = "sweep.scratch.fresh"
 	// CounterSweepMeasurements counts individual sweep measurements.
 	CounterSweepMeasurements = "sweep.measurements"
 	// CounterCacheHit / CounterCacheMiss count session cache lookups.

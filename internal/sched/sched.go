@@ -1,11 +1,12 @@
-// Package sched runs a set of named tasks with declared dependencies
-// on a bounded worker pool. It is the execution engine behind the
-// probe pipeline of internal/core and the experiment fan-out of
-// internal/experiments: callers describe a DAG of tasks, the
-// scheduler starts every task whose dependencies have completed (up
-// to the parallelism bound), and results come back indexed by the
-// input order, so output assembly is deterministic regardless of
-// completion order.
+// Package sched is the engine's one way to fan out work. Run executes
+// a DAG of named tasks on a bounded worker pool — the probe pipeline
+// of internal/core: it starts every task whose dependencies have
+// completed (up to the parallelism bound), and results come back
+// indexed by the input order. Each is the flat parallel-for every
+// other fan-out uses (the core measurement sweeps, tune batches,
+// servet.Sweep, the experiment fan-out): workers pull indices from a
+// shared counter and write into disjoint slots. Either way output
+// assembly is deterministic regardless of completion order.
 package sched
 
 import (
@@ -293,34 +294,45 @@ func Run(ctx context.Context, tasks []Task, parallelism int) ([]Result, error) {
 		}
 	}
 
-	// Report the root cause, not a casualty: when a task failed, the
-	// run cancels runCtx and in-flight ctx-honoring tasks come back
-	// with context.Canceled — those are consequences, as is any task
-	// error caused by the caller cancelling ctx. Prefer the earliest
-	// real error; fall back to the caller's cancellation; surface a
-	// cancellation-shaped task error only when nothing else explains
-	// the abort.
-	var firstCancelled *TaskError
-	for i := range tasks {
-		err := results[i].Err
+	i, err := rootCause(ctx, len(tasks), func(i int) error { return results[i].Err })
+	if i >= 0 {
+		return results, &TaskError{Name: tasks[i].Name, Err: err}
+	}
+	return results, err
+}
+
+// rootCause picks the error that explains a fan-out over n indexed
+// units, whose failures errAt reports in index order (nil for units
+// that succeeded or never ran). When a unit fails, the fan-out
+// cancels its shared context and in-flight ctx-honoring units come
+// back with context.Canceled — those are consequences, as is any
+// failure caused by the caller cancelling ctx. So the root cause is
+// the earliest failure that is not a cancellation; failing that, the
+// caller's ctx.Err(); failing that, the earliest cancellation-shaped
+// failure. It returns the chosen unit's index, or -1 when the error
+// (possibly nil) is the caller's own.
+func rootCause(ctx context.Context, n int, errAt func(i int) error) (int, error) {
+	firstCancelled := -1
+	for i := 0; i < n; i++ {
+		err := errAt(i)
 		if err == nil {
 			continue
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if firstCancelled == nil {
-				firstCancelled = &TaskError{Name: tasks[i].Name, Err: err}
+			if firstCancelled < 0 {
+				firstCancelled = i
 			}
 			continue
 		}
-		return results, &TaskError{Name: tasks[i].Name, Err: err}
+		return i, err
 	}
 	if err := ctx.Err(); err != nil {
-		return results, err
+		return -1, err
 	}
-	if firstCancelled != nil {
-		return results, firstCancelled
+	if firstCancelled >= 0 {
+		return firstCancelled, errAt(firstCancelled)
 	}
-	return results, nil
+	return -1, nil
 }
 
 // insertOrdered inserts j into the sorted slice of indices.

@@ -2,7 +2,6 @@ package servet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"servet/internal/sched"
@@ -23,7 +22,7 @@ func (e *SweepError) Unwrap() error { return e.Err }
 // Sweep runs one session per machine and returns their reports in
 // machine order — the cluster-wide aggregate the install-time files
 // of a heterogeneous cluster are built from. Sessions fan out over
-// the same scheduler that runs probes: WithParallelism bounds how
+// the engine's parallel-for (sched.Each): WithParallelism bounds how
 // many machines are probed concurrently, defaulting to all of them
 // (each machine's own probes stay sequential unless the option says
 // otherwise).
@@ -66,34 +65,15 @@ func Sweep(ctx context.Context, machines []*Machine, opts ...Option) ([]*Report,
 	}
 
 	reports := make([]*Report, len(machines))
-	tasks := make([]sched.Task, len(machines))
-	for i := range sessions {
-		i := i
-		tasks[i] = sched.Task{
-			// Machine names may repeat in a sweep (same model, different
-			// seeds); the index keeps task names unique.
-			Name: fmt.Sprintf("%d:%s", i, machines[i].Name),
-			Run: func(ctx context.Context) error {
-				rep, err := sessions[i].Run(ctx)
-				if err != nil {
-					return err
-				}
-				reports[i] = rep
-				return nil
-			},
+	err := sched.Each(ctx, "sweep", len(machines), fanout, func(ctx context.Context, _, i int) error {
+		rep, err := sessions[i].Run(ctx)
+		if err != nil {
+			return &SweepError{Machine: machines[i].Name, Err: err}
 		}
-	}
-
-	if _, err := sched.Run(ctx, tasks, fanout); err != nil {
-		var te *sched.TaskError
-		if errors.As(err, &te) {
-			for i := range tasks {
-				if tasks[i].Name == te.Name {
-					return nil, &SweepError{Machine: machines[i].Name, Err: te.Err}
-				}
-			}
-			return nil, &SweepError{Machine: te.Name, Err: te.Err}
-		}
+		reports[i] = rep
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return reports, nil
