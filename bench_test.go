@@ -30,7 +30,7 @@ func runExperiment(b *testing.B, id string) *experiments.Result {
 	var res *experiments.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.Run(id, benchOpt)
+		res, err = experiments.Run(context.Background(), id, benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +185,11 @@ func benchSuite(b *testing.B, m *servet.Machine, parallelism int) {
 	b.Helper()
 	opt := servet.Options{Seed: 1, Parallelism: parallelism}
 	for i := 0; i < b.N; i++ {
-		rep, err := servet.Run(m, opt)
+		s, err := servet.NewSession(m, servet.WithOptions(opt))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := s.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

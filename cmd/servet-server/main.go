@@ -57,6 +57,31 @@ import (
 	"servet/internal/server"
 )
 
+// Connection timeouts of both listeners. They bound how long a slow
+// or idle client can hold a connection: reading the request headers,
+// reading the whole request (bodies are small JSON documents), and
+// waiting between keep-alive requests. There is no write timeout,
+// because POST /v1/run and /v1/tune answer only after an engine run
+// that can take minutes on a large machine model (and a pprof CPU
+// profile streams for as long as it samples).
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds a listener on addr with the connection
+// timeouts above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // validateAddrs rejects a debug listener on the registry's own
 // address: the point of -debug-addr is keeping pprof off the
 // registry port, and binding both to one address would either fail
@@ -113,7 +138,7 @@ func main() {
 		regOpts = append(regOpts, server.WithAccessLog(slog.New(slog.NewJSONHandler(os.Stderr, nil))))
 	}
 	reg := server.New(store, regOpts...)
-	srv := &http.Server{Addr: *addr, Handler: reg}
+	srv := newHTTPServer(*addr, reg)
 
 	started := time.Now()
 	errc := make(chan error, 2)
@@ -123,7 +148,7 @@ func main() {
 	}()
 	var dbg *http.Server
 	if *debugAddr != "" {
-		dbg = &http.Server{Addr: *debugAddr, Handler: debugMux()}
+		dbg = newHTTPServer(*debugAddr, debugMux())
 		go func() {
 			log.Printf("servet-server: pprof on http://%s/debug/pprof/", *debugAddr)
 			errc <- dbg.ListenAndServe()

@@ -51,3 +51,19 @@ func TestDebugMux(t *testing.T) {
 		t.Errorf("debug mux serves the registry API; it must not")
 	}
 }
+
+// TestHTTPServerTimeouts: both listeners bound header reads, request
+// reads and idle keep-alive connections, and leave writes unbounded
+// for the long engine runs behind POST /v1/run and /v1/tune.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(":0", debugMux())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("timeouts unset: header %v, read %v, idle %v", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.ReadHeaderTimeout > srv.ReadTimeout {
+		t.Errorf("header timeout %v exceeds read timeout %v", srv.ReadHeaderTimeout, srv.ReadTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("write timeout = %v, want none", srv.WriteTimeout)
+	}
+}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	det, _ := ses.DetectCaches()
+	det, _, err := ses.DetectCaches(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 	rep := &servet.Report{Machine: m.Name}
 	for _, d := range det {
 		rep.Caches = append(rep.Caches, servet.CacheResult{

@@ -5,11 +5,13 @@
 // deliver. A function that received a context must thread it (or a
 // child via WithCancel/WithTimeout) through every call it makes.
 //
-// Functions without a context parameter are exempt — the deprecated
-// package-level shims (servet.Run, RunProbes) exist precisely to
-// inject context.Background() at the API boundary, and the registry's
-// deliberate run-context decoupling (WithBaseContext) happens in a
-// constructor, not under a request context.
+// Functions without a context parameter are exempt: they are where a
+// context chain starts — a command's main, an example, a test — and
+// the registry's deliberate run-context decoupling (the
+// context.Background default that WithBaseContext overrides) happens
+// in its constructor, not under a request context. Every engine
+// operation itself takes a context, so no library call needs to
+// inject one.
 package ctxflow
 
 import (

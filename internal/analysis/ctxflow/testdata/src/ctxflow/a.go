@@ -11,9 +11,10 @@ func bad(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// shim has no context parameter: the deprecated-shim shape, where
-// injecting context.Background at the API boundary is the point.
-func shim() error {
+// entry has no context parameter: it is where a context chain starts
+// (a command's main, a constructor), so context.Background is the
+// point.
+func entry() error {
 	return work(context.Background())
 }
 

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"testing"
 
 	"servet/internal/core"
@@ -14,7 +15,7 @@ import (
 func ftReport(t *testing.T) *report.Report {
 	t.Helper()
 	m := topology.FinisTerrae(2)
-	comm, _, err := core.CommunicationCosts(m, 16*topology.KB, core.Options{
+	comm, _, err := core.CommunicationCosts(context.Background(), m, 16*topology.KB, core.Options{
 		Seed: 1, CommReps: 2,
 		BWSizes: []int64{1 * topology.KB, 4 * topology.KB, 64 * topology.KB, 512 * topology.KB},
 	})

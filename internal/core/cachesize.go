@@ -242,10 +242,14 @@ func DetectCacheSizes(cal Calibration, pageBytes int64, opt Options) []DetectedC
 // three times the allocations, and fit the probabilistic estimator on
 // the refined series. Physically indexed caches with few page sets
 // (small capacities) give noisy single-allocation miss rates; the
-// refinement buys the estimator the statistics it needs.
-func DetectCaches(m *topology.Machine, coreID int, opt Options) ([]DetectedCache, Calibration) {
+// refinement buys the estimator the statistics it needs. Cancelling
+// the context aborts the grid or a refinement sweep.
+func DetectCaches(ctx context.Context, m *topology.Machine, coreID int, opt Options) ([]DetectedCache, Calibration, error) {
 	opt = opt.withDefaults(m)
-	cal := Mcalibrator(m, coreID, opt)
+	cal, err := Mcalibrator(ctx, m, coreID, opt)
+	if err != nil {
+		return nil, Calibration{}, err
+	}
 	pageBytes := m.PageBytes
 	g := stats.Gradient(cal.Cycles)
 
@@ -263,7 +267,10 @@ func DetectCaches(m *topology.Machine, coreID int, opt Options) ([]DetectedCache
 			})
 		default:
 			loIdx, hiIdx := transitionWindow(g, run, opt.GradientThreshold, len(cal.Sizes))
-			sizes, cycles := refineWindow(m, coreID, &cal, opt, loIdx, hiIdx)
+			sizes, cycles, err := refineWindow(ctx, m, coreID, &cal, opt, loIdx, hiIdx)
+			if err != nil {
+				return nil, Calibration{}, err
+			}
 			size := ProbabilisticSize(sizes, cycles, pageBytes)
 			if size == 0 {
 				continue
@@ -273,7 +280,7 @@ func DetectCaches(m *topology.Machine, coreID int, opt Options) ([]DetectedCache
 			})
 		}
 	}
-	return dedupLevels(out), cal
+	return dedupLevels(out), cal, nil
 }
 
 // refineWindow re-measures a transition window on a denser size grid
@@ -285,7 +292,7 @@ func DetectCaches(m *topology.Machine, coreID int, opt Options) ([]DetectedCache
 // the grid sweep's placements and the refined series is
 // byte-identical at any Options.Parallelism. Probe cost is accounted
 // into the calibration in size order.
-func refineWindow(m *topology.Machine, coreID int, cal *Calibration, opt Options, loIdx, hiIdx int) ([]int64, []float64) {
+func refineWindow(ctx context.Context, m *topology.Machine, coreID int, cal *Calibration, opt Options, loIdx, hiIdx int) ([]int64, []float64, error) {
 	pageBytes := m.PageBytes
 	var sizes []int64
 	for i := loIdx; i <= hiIdx; i++ {
@@ -299,11 +306,14 @@ func refineWindow(m *topology.Machine, coreID int, cal *Calibration, opt Options
 		}
 	}
 	allocs := 3 * opt.Allocations
-	samples, err := sweep(context.Background(), "mcal-refine", len(sizes), opt.Parallelism,
+	samples, err := sweep(ctx, "mcal-refine", len(sizes), opt.Parallelism,
 		func() *memsys.Instance { return memsys.NewInstanceAt(m, opt.Seed) },
 		func(in *memsys.Instance, i int) (mcalSample, error) {
 			var s mcalSample
 			for a := 0; a < allocs; a++ {
+				if err := ctx.Err(); err != nil {
+					return mcalSample{}, err
+				}
 				// The window's loIdx joins the key: indices are local to the
 				// window, and without it a second smeared transition (an L3
 				// behind a fuzzy L2) would replay the first window's
@@ -318,16 +328,14 @@ func refineWindow(m *topology.Machine, coreID int, cal *Calibration, opt Options
 			return s, nil
 		})
 	if err != nil {
-		// The background context cannot be cancelled and the
-		// measurements themselves never fail, so this is unreachable.
-		panic("core: refinement sweep failed without cancellation: " + err.Error())
+		return nil, nil, err
 	}
 	cycles := make([]float64, len(sizes))
 	for i, s := range samples {
 		cal.ProbeCycles += s.total
 		cycles[i] = s.avg / float64(allocs)
 	}
-	return sizes, cycles
+	return sizes, cycles, nil
 }
 
 // NaiveCacheSizes is the baseline the paper argues against (Section

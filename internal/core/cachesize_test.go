@@ -24,7 +24,7 @@ var expectedCaches = map[string][]int64{
 
 func detect(t *testing.T, m *topology.Machine, seed int64) []DetectedCache {
 	t.Helper()
-	det, _ := DetectCaches(m, 0, Options{Seed: seed})
+	det, _ := mustDetectCaches(t, m, Options{Seed: seed})
 	return det
 }
 
@@ -122,7 +122,7 @@ func TestRandomPlacementUsesProbabilisticPath(t *testing.T) {
 func TestNaiveEstimatorFailsOnDempsey(t *testing.T) {
 	m := topology.Dempsey()
 	opt := Options{Seed: 1}
-	cal := Mcalibrator(m, 0, opt)
+	cal := mustMcalibrator(t, m, 0, opt)
 	naive := NaiveCacheSizes(cal, opt)
 	if len(naive) < 2 {
 		t.Fatalf("naive found %d levels", len(naive))
@@ -226,7 +226,7 @@ func TestMcalibratorShardedGolden(t *testing.T) {
 						Seed: 1, NoiseSigma: sigma, Allocations: 2,
 						MaxCacheBytes: 4 * topology.MB, Parallelism: parallelism,
 					}
-					cal, err := McalibratorContext(context.Background(), m, 0, opt)
+					cal, err := Mcalibrator(context.Background(), m, 0, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -250,8 +250,25 @@ func TestMcalibratorShardedGolden(t *testing.T) {
 func TestMcalibratorCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := McalibratorContext(ctx, topology.Dempsey(), 0, Options{Seed: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := Mcalibrator(ctx, topology.Dempsey(), 0, Options{Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestDetectCachesCancelledContext: the refined pipeline honours
+// cancellation in both of its sweeps — the mcalibrator grid and the
+// window refinement.
+func TestDetectCachesCancelledContext(t *testing.T) {
+	m := topology.Dempsey()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := DetectCaches(ctx, m, 0, Options{Seed: 1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("DetectCaches err = %v, want context.Canceled", err)
+	}
+	opt := Options{Seed: 1}.withDefaults(m)
+	cal := mustMcalibrator(t, m, 0, opt)
+	if _, _, err := refineWindow(ctx, m, 0, &cal, opt, 0, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("refineWindow err = %v, want context.Canceled", err)
 	}
 }
 
@@ -260,7 +277,7 @@ func TestMcalibratorCancelledContext(t *testing.T) {
 // around the 2 MB L2.
 func TestMcalibratorShape(t *testing.T) {
 	m := topology.Dempsey()
-	cal := Mcalibrator(m, 0, Options{Seed: 1})
+	cal := mustMcalibrator(t, m, 0, Options{Seed: 1})
 	at := func(size int64) float64 {
 		for i, s := range cal.Sizes {
 			if s == size {
@@ -291,7 +308,7 @@ func TestMcalibratorShape(t *testing.T) {
 func TestMcalibratorStrideDefeatsPrefetcher(t *testing.T) {
 	m := topology.Dempsey()
 	gradAt16K := func(stride int64) float64 {
-		cal := Mcalibrator(m, 0, Options{Seed: 1, StrideBytes: stride, MaxCacheBytes: 128 * topology.KB})
+		cal := mustMcalibrator(t, m, 0, Options{Seed: 1, StrideBytes: stride, MaxCacheBytes: 128 * topology.KB})
 		for i, s := range cal.Sizes {
 			if s == 16*topology.KB {
 				return cal.Cycles[i+1] / cal.Cycles[i]

@@ -24,17 +24,8 @@ import (
 // communications when sharing other cache levels".
 //
 // The returned float64 is the virtual time (ns) the probes consumed on
-// the simulated cluster.
-//
-// CommunicationCosts is CommunicationCostsContext with a background
-// context; both shard their measurements across Options.Parallelism
-// workers and produce byte-identical results at any parallelism.
-func CommunicationCosts(m *topology.Machine, messageBytes int64, opt Options) (report.CommResult, float64, error) {
-	return CommunicationCostsContext(context.Background(), m, messageBytes, opt)
-}
-
-// CommunicationCostsContext is the context-aware CommunicationCosts:
-// cancelling the context aborts the sweep between measurements.
+// the simulated cluster. Cancelling the context aborts the sweep
+// between measurements.
 //
 // Both phases run through the suite's sweep helper (see shard.go):
 // the O(n²) pair sweep as one measurement per pair class, the
@@ -46,7 +37,7 @@ func CommunicationCosts(m *topology.Machine, messageBytes int64, opt Options) (r
 // (perturbAt), so the result — including the simulated probe time, a
 // float sum sensitive to addition order — is byte-identical at any
 // Options.Parallelism.
-func CommunicationCostsContext(ctx context.Context, m *topology.Machine, messageBytes int64, opt Options) (report.CommResult, float64, error) {
+func CommunicationCosts(ctx context.Context, m *topology.Machine, messageBytes int64, opt Options) (report.CommResult, float64, error) {
 	opt = opt.withDefaults(m)
 	if messageBytes <= 0 {
 		return report.CommResult{}, 0, fmt.Errorf("core: message size must be positive")

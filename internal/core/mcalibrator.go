@@ -46,36 +46,25 @@ type mcalSample struct {
 }
 
 // Mcalibrator measures the average access cost of strided traversals
-// over the size grid, on one core of the machine. It is
-// McalibratorContext without cancellation.
-func Mcalibrator(m *topology.Machine, core int, opt Options) Calibration {
-	cal, err := McalibratorContext(context.Background(), m, core, opt)
-	if err != nil {
-		// The background context cannot be cancelled and the
-		// measurements themselves never fail, so this is unreachable.
-		panic("core: mcalibrator sweep failed without cancellation: " + err.Error())
-	}
-	return cal
-}
-
-// McalibratorContext runs the Fig. 1 calibration loop with its size
-// grid sharded over the engine's scheduler: sizes are independent
-// measurements, and each (size, allocation) measures a memory system
-// whose page placement is seeded from (Seed, probe family, core, size
-// index, allocation) — identical by construction no matter which
-// worker measures it or in what order. Each worker owns one pooled
-// memsys.Instance, reset in place per measurement (ResetAt is
-// bitwise-equivalent to building fresh), so the sweep allocates
-// nothing in steady state. Each size is measured on opt.Allocations
-// freshly placed arrays (physically indexed caches behave
-// probabilistically, so one mapping is one sample) with one warm-up
-// traversal (the array initialization of Fig. 1 warms the cache) and
-// opt.Passes measured traversals. Workers record raw cycle counts
-// into disjoint slots; the order-sensitive ProbeCycles float sum and
-// the stateless noise perturbation happen in a sequential merge in
-// size order, so the calibration is byte-identical at any
-// Options.Parallelism.
-func McalibratorContext(ctx context.Context, m *topology.Machine, core int, opt Options) (Calibration, error) {
+// over the size grid on one core of the machine: the Fig. 1
+// calibration loop, with its size grid sharded over the engine's
+// scheduler. Sizes are independent measurements, and each (size,
+// allocation) measures a memory system whose page placement is seeded
+// from (Seed, probe family, core, size index, allocation) — identical
+// by construction no matter which worker measures it or in what
+// order. Each worker owns one pooled memsys.Instance, reset in place
+// per measurement (ResetAt is bitwise-equivalent to building fresh),
+// so the sweep allocates nothing in steady state. Each size is
+// measured on opt.Allocations freshly placed arrays (physically
+// indexed caches behave probabilistically, so one mapping is one
+// sample) with one warm-up traversal (the array initialization of
+// Fig. 1 warms the cache) and opt.Passes measured traversals. Workers
+// record raw cycle counts into disjoint slots; the order-sensitive
+// ProbeCycles float sum and the stateless noise perturbation happen in
+// a sequential merge in size order, so the calibration is
+// byte-identical at any Options.Parallelism. Cancelling the context
+// aborts the sweep between allocations.
+func Mcalibrator(ctx context.Context, m *topology.Machine, core int, opt Options) (Calibration, error) {
 	opt = opt.withDefaults(m)
 	sizes := SizeGrid(opt.MinCacheBytes, opt.MaxCacheBytes)
 	// The tracer (nil when untraced) counts pooled-instance traffic:

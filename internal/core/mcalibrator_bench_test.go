@@ -18,7 +18,7 @@ func benchMcalibratorGrid(b *testing.B, parallelism int) {
 	m := topology.Dempsey()
 	opt := Options{Seed: 1, Parallelism: parallelism}
 	for i := 0; i < b.N; i++ {
-		cal, err := McalibratorContext(context.Background(), m, 0, opt)
+		cal, err := Mcalibrator(context.Background(), m, 0, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,7 +17,7 @@ import (
 // magnitude — one overhead level covering all cores.
 func TestMemoryOverheadDunnington(t *testing.T) {
 	m := topology.Dunnington()
-	res, probeNS := MemoryOverhead(m, Options{Seed: 1})
+	res, probeNS := mustMemoryOverhead(t, m, Options{Seed: 1})
 	if res.RefBandwidthGBs != 4.0 {
 		t.Errorf("ref = %g, want 4.0", res.RefBandwidthGBs)
 	}
@@ -44,7 +44,7 @@ func TestMemoryOverheadDunnington(t *testing.T) {
 // cell sharers (~25% below reference) — and no overhead across cells.
 func TestMemoryOverheadFinisTerrae(t *testing.T) {
 	m := topology.FinisTerrae(1)
-	res, _ := MemoryOverhead(m, Options{Seed: 1})
+	res, _ := mustMemoryOverhead(t, m, Options{Seed: 1})
 	if len(res.Levels) != 2 {
 		t.Fatalf("levels = %d, want 2 (bus + cell)", len(res.Levels))
 	}
@@ -81,7 +81,7 @@ func TestMemoryOverheadFinisTerrae(t *testing.T) {
 // core counts.
 func TestMemoryScalabilityCurves(t *testing.T) {
 	m := topology.FinisTerrae(1)
-	res, _ := MemoryOverhead(m, Options{Seed: 1})
+	res, _ := mustMemoryOverhead(t, m, Options{Seed: 1})
 	bus, cell := res.Levels[0], res.Levels[1]
 	for _, lvl := range res.Levels {
 		for i := 1; i < len(lvl.Scalability); i++ {
@@ -107,7 +107,7 @@ func TestMemoryScalabilityCurves(t *testing.T) {
 
 func TestMemoryOverheadUnicore(t *testing.T) {
 	m := topology.Athlon3200()
-	res, _ := MemoryOverhead(m, Options{Seed: 1})
+	res, _ := mustMemoryOverhead(t, m, Options{Seed: 1})
 	if len(res.Levels) != 0 {
 		t.Errorf("unicore overhead levels: %+v", res.Levels)
 	}
@@ -121,7 +121,7 @@ func TestMemoryOverheadUnicore(t *testing.T) {
 // relative noise.
 func TestMemoryOverheadWithNoise(t *testing.T) {
 	m := topology.FinisTerrae(1)
-	res, _ := MemoryOverhead(m, Options{Seed: 3, NoiseSigma: 0.02})
+	res, _ := mustMemoryOverhead(t, m, Options{Seed: 3, NoiseSigma: 0.02})
 	if len(res.Levels) != 2 {
 		t.Fatalf("levels under noise = %d, want 2", len(res.Levels))
 	}
@@ -143,7 +143,7 @@ func TestMemOverheadShardedGolden(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/sigma=%g", name, sigma), func(t *testing.T) {
 				assertShardedGolden(t, func(parallelism int) string {
 					opt := Options{Seed: 1, NoiseSigma: sigma, Parallelism: parallelism}
-					res, probeNS, err := MemoryOverheadContext(context.Background(), m, opt)
+					res, probeNS, err := MemoryOverhead(context.Background(), m, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -166,7 +166,7 @@ func TestMemOverheadShardedGolden(t *testing.T) {
 func TestMemOverheadCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := MemoryOverheadContext(ctx, topology.Dunnington(), Options{Seed: 1}); !errors.Is(err, context.Canceled) {
+	if _, _, err := MemoryOverhead(ctx, topology.Dunnington(), Options{Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -198,7 +198,7 @@ func TestMemoryOverheadPaperGroupingExample(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := MemoryOverhead(m, Options{Seed: 1})
+	res, _ := mustMemoryOverhead(t, m, Options{Seed: 1})
 	if len(res.Levels) != 1 {
 		t.Fatalf("levels = %d, want 1", len(res.Levels))
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"servet/internal/report"
-	"servet/internal/topology"
 )
 
 // The built-in probes: the four paper benchmarks (Sections III-A to
@@ -26,43 +25,22 @@ type cacheSizeOutput struct {
 	cal    Calibration
 }
 
-// calibrateAndDetect runs mcalibrator on core 0 and the Fig. 4
-// driver on the raw curve — the exact sequence (and simulated probe
-// cost) of the original suite. Shared by Suite.DetectCaches and the
-// cache-size probe.
-func calibrateAndDetect(m *topology.Machine, opt Options) ([]DetectedCache, Calibration) {
-	det, cal, err := calibrateAndDetectContext(context.Background(), m, opt)
-	if err != nil {
-		// The background context cannot be cancelled and the
-		// measurements themselves never fail, so this is unreachable.
-		panic("core: calibration failed without cancellation: " + err.Error())
-	}
-	return det, cal
-}
-
-// calibrateAndDetectContext is the ctx-aware calibrateAndDetect the
-// probe engine runs: the sharded mcalibrator grid aborts between
-// measurements when the context is cancelled.
-func calibrateAndDetectContext(ctx context.Context, m *topology.Machine, opt Options) ([]DetectedCache, Calibration, error) {
-	cal, err := McalibratorContext(ctx, m, 0, opt)
-	if err != nil {
-		return nil, Calibration{}, err
-	}
-	return DetectCacheSizes(cal, m.PageBytes, opt), cal, nil
-}
-
-// cacheSizeProbe runs mcalibrator on core 0 and the Fig. 4 driver
-// (Section III-A).
+// cacheSizeProbe runs mcalibrator on core 0 and the Fig. 4 driver on
+// the raw curve (Section III-A) — the exact sequence, and simulated
+// probe cost, of the original suite. The standalone DetectCaches adds
+// window refinement on top; the probe does not, because Table I pins
+// its cost.
 type cacheSizeProbe struct{}
 
 func (cacheSizeProbe) Name() string   { return probeCacheSize }
 func (cacheSizeProbe) Deps() []string { return nil }
 
 func (cacheSizeProbe) Run(ctx context.Context, env *Env) (Partial, error) {
-	levels, cal, err := calibrateAndDetectContext(ctx, env.Machine, env.Opt)
+	cal, err := Mcalibrator(ctx, env.Machine, 0, env.Opt)
 	if err != nil {
 		return Partial{}, err
 	}
+	levels := DetectCacheSizes(cal, env.Machine.PageBytes, env.Opt)
 	if len(levels) == 0 {
 		return Partial{}, &NoCacheLevelsError{Machine: env.Machine.Name}
 	}
@@ -132,7 +110,7 @@ func (sharedCachesProbe) Run(ctx context.Context, env *Env) (Partial, error) {
 	if err != nil {
 		return Partial{}, err
 	}
-	shared, err := SharedCachesContext(ctx, env.Machine, levels, env.Opt)
+	shared, err := SharedCaches(ctx, env.Machine, levels, env.Opt)
 	if err != nil {
 		return Partial{}, err
 	}
@@ -204,7 +182,7 @@ func (memoryOverheadProbe) Name() string   { return probeMemory }
 func (memoryOverheadProbe) Deps() []string { return nil }
 
 func (memoryOverheadProbe) Run(ctx context.Context, env *Env) (Partial, error) {
-	memRes, memNS, err := MemoryOverheadContext(ctx, env.Machine, env.Opt)
+	memRes, memNS, err := MemoryOverhead(ctx, env.Machine, env.Opt)
 	if err != nil {
 		return Partial{}, err
 	}
@@ -254,7 +232,7 @@ func (commCostsProbe) Run(ctx context.Context, env *Env) (Partial, error) {
 	if err != nil {
 		return Partial{}, err
 	}
-	commRes, commNS, err := CommunicationCostsContext(ctx, env.Machine, levels[0].SizeBytes, env.Opt)
+	commRes, commNS, err := CommunicationCosts(ctx, env.Machine, levels[0].SizeBytes, env.Opt)
 	if err != nil {
 		return Partial{}, err
 	}
@@ -301,7 +279,10 @@ func (tlbProbe) Name() string   { return probeTLB }
 func (tlbProbe) Deps() []string { return nil }
 
 func (tlbProbe) Run(ctx context.Context, env *Env) (Partial, error) {
-	res, ok := DetectTLB(env.Machine, 0, env.Opt)
+	res, ok, err := DetectTLB(ctx, env.Machine, 0, env.Opt)
+	if err != nil {
+		return Partial{}, err
+	}
 	return Partial{
 		Apply: func(r *report.Report) {
 			if ok {

@@ -26,7 +26,7 @@ func benchSharedCache(b *testing.B, parallelism int) {
 	}
 	opt := Options{Seed: 1, Allocations: 2, Parallelism: parallelism}
 	for i := 0; i < b.N; i++ {
-		res, err := SharedCachesContext(context.Background(), m, levels, opt)
+		res, err := SharedCaches(context.Background(), m, levels, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func benchMemOverhead(b *testing.B, parallelism int) {
 	m := topology.Dunnington()
 	opt := Options{Seed: 1, Parallelism: parallelism}
 	for i := 0; i < b.N; i++ {
-		res, _, err := MemoryOverheadContext(context.Background(), m, opt)
+		res, _, err := MemoryOverhead(context.Background(), m, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func TestSharedCachesDunnington(t *testing.T) {
 		t.Skip("276 pairs x 3 levels")
 	}
 	m := topology.Dunnington()
-	res := SharedCaches(m, dunningtonLevels(), Options{Seed: 1})
+	res := mustSharedCaches(t, m, dunningtonLevels(), Options{Seed: 1})
 	if len(res) != 3 {
 		t.Fatalf("levels = %d", len(res))
 	}
@@ -74,7 +74,7 @@ func TestSharedCachesFinisTerrae(t *testing.T) {
 		{Level: 2, SizeBytes: 256 * topology.KB},
 		{Level: 3, SizeBytes: 9 * topology.MB},
 	}
-	res := SharedCaches(m, levels, Options{Seed: 1})
+	res := mustSharedCaches(t, m, levels, Options{Seed: 1})
 	for _, lvl := range res {
 		if len(lvl.SharedPairs) != 0 {
 			t.Errorf("L%d flagged pairs %v; Finis Terrae caches are private", lvl.Level, lvl.SharedPairs)
@@ -95,7 +95,7 @@ func TestSharedCachesSMTLevel1(t *testing.T) {
 		{Level: 1, SizeBytes: 32 * topology.KB},
 		{Level: 2, SizeBytes: 1 * topology.MB},
 	}
-	res := SharedCaches(m, levels, Options{Seed: 1})
+	res := mustSharedCaches(t, m, levels, Options{Seed: 1})
 	wantL1 := [][]int{{0, 1}, {2, 3}}
 	if !reflect.DeepEqual(res[0].Groups, wantL1) {
 		t.Errorf("L1 groups = %v, want %v", res[0].Groups, wantL1)
@@ -112,7 +112,7 @@ func TestSharedCachesUnicore(t *testing.T) {
 		{Level: 1, SizeBytes: 64 * topology.KB},
 		{Level: 2, SizeBytes: 512 * topology.KB},
 	}
-	res := SharedCaches(m, levels, Options{Seed: 1})
+	res := mustSharedCaches(t, m, levels, Options{Seed: 1})
 	for _, lvl := range res {
 		if len(lvl.Ratios) != 0 || len(lvl.Groups) != 0 {
 			t.Errorf("unicore L%d probed pairs: %+v", lvl.Level, lvl)
@@ -150,7 +150,7 @@ func TestSharedCacheShardedGolden(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/sigma=%g", name, sigma), func(t *testing.T) {
 				assertShardedGolden(t, func(parallelism int) string {
 					opt := Options{Seed: 1, NoiseSigma: sigma, Allocations: 2, Parallelism: parallelism}
-					res, err := SharedCachesContext(context.Background(), m, levels, opt)
+					res, err := SharedCaches(context.Background(), m, levels, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -172,7 +172,7 @@ func TestSharedCachesCancelledContext(t *testing.T) {
 	cancel()
 	m := topology.SMTQuad()
 	levels := []DetectedCache{{Level: 1, SizeBytes: 32 * topology.KB}}
-	if _, err := SharedCachesContext(ctx, m, levels, Options{Seed: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := SharedCaches(ctx, m, levels, Options{Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestSharedCachesArrayRounding(t *testing.T) {
 	// produce a stride-aligned positive array.
 	m := topology.SMTQuad()
 	levels := []DetectedCache{{Level: 1, SizeBytes: 32 * topology.KB}}
-	res := SharedCaches(m, levels, Options{Seed: 1})
+	res := mustSharedCaches(t, m, levels, Options{Seed: 1})
 	if res[0].ArrayBytes%1024 != 0 || res[0].ArrayBytes <= 0 {
 		t.Errorf("array bytes = %d, want positive stride multiple", res[0].ArrayBytes)
 	}

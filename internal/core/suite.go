@@ -37,28 +37,6 @@ func (s *Suite) Machine() *topology.Machine { return s.m }
 // Options returns the effective (default-filled) options.
 func (s *Suite) Options() Options { return s.opt }
 
-// DetectCaches runs mcalibrator on core 0 and the Fig. 4 driver.
-func (s *Suite) DetectCaches() ([]DetectedCache, Calibration) {
-	return calibrateAndDetect(s.m, s.opt)
-}
-
-// DetectCachesRefined runs the adaptive standalone cache detection:
-// mcalibrator over the standard grid, then refined re-measurement of
-// each smeared transition window (see DetectCaches). It is the
-// algorithm behind the facade's single-benchmark entry point; the
-// in-suite probe uses the plain pipeline of DetectCaches (method on
-// Suite), whose probe-cost accounting Table I pins.
-func (s *Suite) DetectCachesRefined() ([]DetectedCache, Calibration) {
-	return DetectCaches(s.m, 0, s.opt)
-}
-
-// Mcalibrator runs the raw calibration loop of Fig. 1 on one core,
-// each measurement against its own per-(size, allocation)
-// memory-system instance.
-func (s *Suite) Mcalibrator(coreID int) Calibration {
-	return Mcalibrator(s.m, coreID, s.opt)
-}
-
 // CalibrateCores runs the Fig. 1 calibration loop on each of the given
 // node-local cores (no cores means all of them), fanning the per-core
 // runs over sched.Each under Options.Parallelism. Each measurement
@@ -80,7 +58,7 @@ func (s *Suite) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration
 	}
 	cals := make([]Calibration, len(cores))
 	err := sched.Each(ctx, "calibrate", len(cores), s.opt.Parallelism, func(ctx context.Context, _, i int) error {
-		cal, err := McalibratorContext(ctx, s.m, cores[i], s.opt)
+		cal, err := Mcalibrator(ctx, s.m, cores[i], s.opt)
 		cals[i] = cal
 		return err
 	})
@@ -88,19 +66,6 @@ func (s *Suite) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration
 		return nil, err
 	}
 	return cals, nil
-}
-
-// DetectTLB runs the TLB extension probe on core 0; ok is false when
-// the machine shows no translation-miss transition.
-func (s *Suite) DetectTLB() (DetectedTLB, bool) {
-	return DetectTLB(s.m, 0, s.opt)
-}
-
-// Run executes the whole suite — the four paper benchmarks of
-// DefaultProbes — recording per-stage wall and simulated-probe times
-// (Table I).
-func (s *Suite) Run() (*report.Report, error) {
-	return s.RunProbes(context.Background())
 }
 
 // RunProbes executes the named probes plus their transitive

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -9,7 +11,7 @@ import (
 
 func TestDetectTLBOnTLBBox(t *testing.T) {
 	m := topology.TLBBox()
-	res, ok := DetectTLB(m, 0, Options{Seed: 1})
+	res, ok := mustDetectTLB(t, m, Options{Seed: 1})
 	if !ok {
 		t.Fatal("no TLB transition found on the TLB machine")
 	}
@@ -23,7 +25,7 @@ func TestDetectTLBOnTLBBox(t *testing.T) {
 
 func TestDetectTLBAbsentOnPlainMachines(t *testing.T) {
 	for _, m := range []*topology.Machine{topology.Dempsey(), topology.Athlon3200()} {
-		if res, ok := DetectTLB(m, 0, Options{Seed: 1}); ok {
+		if res, ok := mustDetectTLB(t, m, Options{Seed: 1}); ok {
 			t.Errorf("%s: phantom TLB detected: %+v", m.Name, res)
 		}
 	}
@@ -35,7 +37,7 @@ func TestDetectTLBAbsentOnPlainMachines(t *testing.T) {
 // cost stays below the gradient threshold.
 func TestTLBDoesNotPerturbCacheDetection(t *testing.T) {
 	m := topology.TLBBox()
-	det, _ := DetectCaches(m, 0, Options{Seed: 1})
+	det, _ := mustDetectCaches(t, m, Options{Seed: 1})
 	if len(det) != 1 || det[0].SizeBytes != 64*topology.KB {
 		t.Errorf("detected = %+v, want a single 64 KB level", det)
 	}
@@ -52,5 +54,15 @@ func TestTLBValidation(t *testing.T) {
 func TestTLBBoxModelValidates(t *testing.T) {
 	if err := topology.TLBBox().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDetectTLBCancelledContext: cancelling the context aborts the
+// page-count sweep with context.Canceled.
+func TestDetectTLBCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := DetectTLB(ctx, topology.TLBBox(), 0, Options{Seed: 1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

@@ -63,7 +63,7 @@ func (o Opt) seed() int64 {
 // generator produces one experiment.
 type generator struct {
 	title string
-	run   func(Opt) (*Result, error)
+	run   func(context.Context, Opt) (*Result, error)
 }
 
 var registry = map[string]generator{
@@ -96,16 +96,11 @@ func IDs() []string {
 // Title returns the caption of an experiment id (empty if unknown).
 func Title(id string) string { return registry[id].title }
 
-// Run regenerates one experiment. It is RunContext with a background
-// context.
-func Run(id string, opt Opt) (*Result, error) {
-	return RunContext(context.Background(), id, opt)
-}
-
-// RunContext regenerates one experiment under a context: cancelling
-// it aborts before the generator starts (generators themselves run to
-// completion, mirroring probe granularity in the suite).
-func RunContext(ctx context.Context, id string, opt Opt) (*Result, error) {
+// Run regenerates one experiment under a context. Generators call the
+// ctx-taking core measurements, so cancelling the context aborts a
+// running generator between measurements, and a tracer attached to it
+// (obs.WithTracer) records the generator's sweeps.
+func Run(ctx context.Context, id string, opt Opt) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -113,7 +108,7 @@ func RunContext(ctx context.Context, id string, opt Opt) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 	}
-	res, err := gen.run(opt)
+	res, err := gen.run(ctx, opt)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", id, err)
 	}
@@ -127,18 +122,13 @@ func RunContext(ctx context.Context, id string, opt Opt) (*Result, error) {
 // at most Opt.Parallelism workers, and the results come back in id
 // order regardless of completion order. On failure it returns the
 // results that completed (still in id order) and the error of the
-// failed experiment earliest in id order.
-func RunAll(opt Opt) ([]*Result, error) {
-	return RunAllContext(context.Background(), opt)
-}
-
-// RunAllContext is RunAll under a context: cancelling it stops
-// launching experiments and aborts the fan-out.
-func RunAllContext(ctx context.Context, opt Opt) ([]*Result, error) {
+// failed experiment earliest in id order; cancelling the context
+// stops launching experiments and aborts the running ones.
+func RunAll(ctx context.Context, opt Opt) ([]*Result, error) {
 	ids := IDs()
 	slots := make([]*Result, len(ids))
 	err := sched.Each(ctx, "experiments", len(ids), opt.Parallelism, func(ctx context.Context, _, i int) error {
-		res, err := RunContext(ctx, ids[i], opt) // errors name the experiment id
+		res, err := Run(ctx, ids[i], opt) // errors name the experiment id
 		slots[i] = res
 		return err
 	})

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -29,13 +31,13 @@ func TestIDsStableAndComplete(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run("fig99", quick); err == nil {
+	if _, err := Run(context.Background(), "fig99", quick); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
 
 func TestFig2Shapes(t *testing.T) {
-	res, err := Run("fig2a", quick)
+	res, err := Run(context.Background(), "fig2a", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestFig2Shapes(t *testing.T) {
 		}
 	}
 
-	grad, err := Run("fig2b", quick)
+	grad, err := Run(context.Background(), "fig2b", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestSectionIVAAllMatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full detection on four machines")
 	}
-	res, err := Run("iva", Opt{Seed: 1})
+	res, err := Run(context.Background(), "iva", Opt{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestFig8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pair sweeps")
 	}
-	a, err := Run("fig8a", quick)
+	a, err := Run(context.Background(), "fig8a", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestFig8Shapes(t *testing.T) {
 			}
 		}
 	}
-	b, err := Run("fig8b", quick)
+	b, err := Run(context.Background(), "fig8b", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestFig8Shapes(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
-	res, err := Run("fig9a", quick)
+	res, err := Run(context.Background(), "fig9a", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestFig9Shapes(t *testing.T) {
 			t.Errorf("finisterrae hierarchy broken: %v", s.Y)
 		}
 	}
-	scal, err := Run("fig9b", quick)
+	scal, err := Run(context.Background(), "fig9b", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestFig10Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comm sweeps")
 	}
-	a, err := Run("fig10a", quick)
+	a, err := Run(context.Background(), "fig10a", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestFig10Shapes(t *testing.T) {
 			t.Errorf("inter/intra = %.2f", inter/intra)
 		}
 	}
-	b, err := Run("fig10b", quick)
+	b, err := Run(context.Background(), "fig10b", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +199,14 @@ func TestFig10Shapes(t *testing.T) {
 			t.Errorf("%s: slowdown %.1f, want visible contention", s.Name, last)
 		}
 	}
-	c, err := Run("fig10c", quick)
+	c, err := Run(context.Background(), "fig10c", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Series) != 3 {
 		t.Errorf("fig10c series = %d, want 3 layers", len(c.Series))
 	}
-	d, err := Run("fig10d", quick)
+	d, err := Run(context.Background(), "fig10d", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +219,7 @@ func TestTable1Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suites")
 	}
-	res, err := Run("table1", quick)
+	res, err := Run(context.Background(), "table1", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +231,7 @@ func TestTable1Runs(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	res, err := Run("ablation1", quick)
+	res, err := Run(context.Background(), "ablation1", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,7 @@ func TestAblations(t *testing.T) {
 		!strings.Contains(res.Text, "visible") {
 		t.Errorf("ablation1 table:\n%s", res.Text)
 	}
-	res2, err := Run("ablation2", quick)
+	res2, err := Run(context.Background(), "ablation2", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,21 +253,26 @@ func TestRunAllQuick(t *testing.T) {
 		t.Skip("all experiments")
 	}
 	// Fan the generators out over the scheduler; the results must
-	// still come back complete and in id order.
-	opt := quick
-	opt.Parallelism = 4
-	results, err := RunAll(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(IDs()) {
-		t.Fatalf("results = %d, want %d", len(results), len(IDs()))
-	}
-	for i, res := range results {
-		if res.ID != IDs()[i] {
-			t.Errorf("result %d = %s, want %s (id order)", i, res.ID, IDs()[i])
+	// still come back complete and in id order, and identical to a
+	// one-worker run.
+	runAll := func(parallelism int) []*Result {
+		opt := quick
+		opt.Parallelism = parallelism
+		results, err := RunAll(context.Background(), opt)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(results) != len(IDs()) {
+			t.Fatalf("parallelism %d: results = %d, want %d", parallelism, len(results), len(IDs()))
+		}
+		for i, res := range results {
+			if res.ID != IDs()[i] {
+				t.Errorf("parallelism %d: result %d = %s, want %s (id order)", parallelism, i, res.ID, IDs()[i])
+			}
+		}
+		return results
 	}
+	results := runAll(4)
 	for _, res := range results {
 		if res.ID == "" || res.Title == "" {
 			t.Errorf("unlabelled result: %+v", res)
@@ -275,6 +282,17 @@ func TestRunAllQuick(t *testing.T) {
 		}
 		if len(res.Notes) == 0 {
 			t.Errorf("%s: no notes", res.ID)
+		}
+	}
+
+	for i, seq := range runAll(1) {
+		par := *results[i]
+		if seq.ID == "table1" {
+			// table1's wall column is host time.
+			par.Text = seq.Text
+		}
+		if !reflect.DeepEqual(seq, &par) {
+			t.Errorf("%s: parallelism 4 result diverges from parallelism 1", seq.ID)
 		}
 	}
 }

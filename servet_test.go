@@ -1,6 +1,7 @@
 package servet_test
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -8,9 +9,21 @@ import (
 	"servet"
 )
 
+// newSession builds a session with the given suite options or fails
+// the test.
+func newSession(t *testing.T, m *servet.Machine, opt servet.Options) *servet.Session {
+	t.Helper()
+	s, err := servet.NewSession(m, servet.WithOptions(opt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestRunDempseyEndToEnd(t *testing.T) {
 	m := servet.Dempsey()
-	rep, err := servet.Run(m, servet.Options{Seed: 1, CommReps: 2, BWSizes: []int64{4096, 65536}})
+	s := newSession(t, m, servet.Options{Seed: 1, CommReps: 2, BWSizes: []int64{4096, 65536}})
+	rep, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +60,8 @@ func TestRunDempseyEndToEnd(t *testing.T) {
 // requested probe (it has no dependencies), leaving the rest of the
 // report empty.
 func TestRunProbesCacheSizeOnly(t *testing.T) {
-	rep, err := servet.RunProbes(servet.Dempsey(), servet.Options{Seed: 1}, "cache-size")
+	s := newSession(t, servet.Dempsey(), servet.Options{Seed: 1})
+	rep, err := s.Run(context.Background(), "cache-size")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +77,16 @@ func TestRunProbesCacheSizeOnly(t *testing.T) {
 }
 
 // TestRunProbesParallelFullSuite: a concurrent run of the full suite
-// merges into the same report as Run.
+// merges into the same report as a sequential one.
 func TestRunProbesParallelFullSuite(t *testing.T) {
+	ctx := context.Background()
 	opt := servet.Options{Seed: 1, CommReps: 2, BWSizes: []int64{4096, 65536}}
-	seq, err := servet.Run(servet.Dempsey(), opt)
+	seq, err := newSession(t, servet.Dempsey(), opt).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Parallelism = 4
-	par, err := servet.Run(servet.Dempsey(), opt)
+	par, err := newSession(t, servet.Dempsey(), opt).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +105,15 @@ func TestProbeRegistryFacade(t *testing.T) {
 	if len(names) < 5 {
 		t.Fatalf("probes = %v", names)
 	}
-	if _, err := servet.RunProbes(servet.Dempsey(), servet.Options{Seed: 1}, "no-such-probe"); err == nil {
+	s := newSession(t, servet.Dempsey(), servet.Options{Seed: 1})
+	if _, err := s.Run(context.Background(), "no-such-probe"); err == nil {
 		t.Error("unknown probe accepted")
 	}
 }
 
 func TestDetectCachesOnly(t *testing.T) {
-	det, cal, err := servet.DetectCaches(servet.Athlon3200(), servet.Options{Seed: 1})
+	s := newSession(t, servet.Athlon3200(), servet.Options{Seed: 1})
+	det, cal, err := s.DetectCaches(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +126,17 @@ func TestDetectCachesOnly(t *testing.T) {
 }
 
 func TestMcalibratorFacade(t *testing.T) {
-	cal, err := servet.Mcalibrator(servet.Dempsey(), 0, servet.Options{Seed: 1, MaxCacheBytes: 64 << 10})
+	s := newSession(t, servet.Dempsey(), servet.Options{Seed: 1, MaxCacheBytes: 64 << 10})
+	cals, err := s.CalibrateCores(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cal.Sizes) == 0 {
-		t.Error("no calibration points")
+	if len(cals) != 1 || len(cals[0].Sizes) == 0 {
+		t.Errorf("calibrations = %+v, want one with points", cals)
 	}
 	bad := servet.Dempsey()
 	bad.ClockGHz = 0
-	if _, err := servet.Mcalibrator(bad, 0, servet.Options{}); err == nil {
+	if _, err := servet.NewSession(bad); err == nil {
 		t.Error("invalid machine accepted")
 	}
 }
@@ -126,11 +144,8 @@ func TestMcalibratorFacade(t *testing.T) {
 func TestFacadeValidatesMachines(t *testing.T) {
 	bad := servet.Dempsey()
 	bad.CoresPerNode = 0
-	if _, err := servet.Run(bad, servet.Options{}); err == nil {
-		t.Error("Run accepted an invalid machine")
-	}
-	if _, _, err := servet.DetectCaches(bad, servet.Options{}); err == nil {
-		t.Error("DetectCaches accepted an invalid machine")
+	if _, err := servet.NewSession(bad, servet.WithOptions(servet.Options{Seed: 1})); err == nil {
+		t.Error("NewSession accepted an invalid machine")
 	}
 	if _, err := servet.NewMemorySimulator(bad, 1); err == nil {
 		t.Error("NewMemorySimulator accepted an invalid machine")
@@ -186,14 +201,15 @@ func TestModelsExposed(t *testing.T) {
 }
 
 func TestDetectTLBFacade(t *testing.T) {
-	res, ok, err := servet.DetectTLB(servet.TLBBox(), servet.Options{Seed: 1})
+	ctx := context.Background()
+	res, ok, err := newSession(t, servet.TLBBox(), servet.Options{Seed: 1}).DetectTLB(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok || res.Entries != 64 {
 		t.Errorf("TLB = %+v ok=%v, want 64 entries", res, ok)
 	}
-	_, ok, err = servet.DetectTLB(servet.Dempsey(), servet.Options{Seed: 1})
+	_, ok, err = newSession(t, servet.Dempsey(), servet.Options{Seed: 1}).DetectTLB(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +218,7 @@ func TestDetectTLBFacade(t *testing.T) {
 	}
 	bad := servet.TLBBox()
 	bad.ClockGHz = 0
-	if _, _, err := servet.DetectTLB(bad, servet.Options{}); err == nil {
+	if _, err := servet.NewSession(bad); err == nil {
 		t.Error("invalid machine accepted")
 	}
 }

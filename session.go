@@ -109,9 +109,10 @@ func WithRemoteCache(url string) Option {
 // validated machine, the effective options, the simulated-hardware
 // instances the direct probes use, and an optional probe-result
 // cache. A Session is safe for concurrent use of its Run method (the
-// probes themselves never mutate the machine), but the direct
-// single-probe helpers (Mcalibrator, DetectCaches, DetectTLB) each
-// build fresh simulator state, so concurrent calls are independent.
+// probes themselves never mutate the machine), and the
+// single-benchmark calls (DetectCaches, CalibrateCores, DetectTLB)
+// each build fresh simulator state, so concurrent calls are
+// independent.
 type Session struct {
 	suite       *core.Suite
 	cache       Cache
@@ -119,8 +120,7 @@ type Session struct {
 }
 
 // NewSession validates the machine and prepares a session. With no
-// options the session runs the paper's defaults, exactly like the
-// deprecated package-level Run did.
+// options the session runs the paper's defaults.
 func NewSession(m *Machine, opts ...Option) (*Session, error) {
 	var cfg sessionConfig
 	cfg.apply(opts)
@@ -380,35 +380,31 @@ func sortByCanonicalOrder(rep *Report) {
 	})
 }
 
-// DetectCaches runs only the cache-size benchmark (mcalibrator plus
-// the Fig. 4 detection driver, with adaptive window refinement) and
-// returns the detected levels along with the raw calibration curve.
-func (s *Session) DetectCaches() ([]DetectedCache, Calibration) {
-	return s.suite.DetectCachesRefined()
-}
-
-// Mcalibrator runs only the raw calibration loop of Fig. 1 on one
-// node-local core and returns sizes and cycles per access.
-func (s *Session) Mcalibrator(coreID int) Calibration {
-	return s.suite.Mcalibrator(coreID)
+// DetectCaches runs only the cache-size benchmark on core 0
+// (mcalibrator plus the Fig. 4 detection driver, with adaptive window
+// refinement) and returns the detected levels along with the raw
+// calibration curve. Cancelling the context aborts the measurement.
+func (s *Session) DetectCaches(ctx context.Context) ([]DetectedCache, Calibration, error) {
+	return core.DetectCaches(ctx, s.Machine(), 0, s.Options())
 }
 
 // CalibrateCores runs the Fig. 1 calibration loop on each of the
 // given node-local cores (no cores means every core of a node),
 // fanned out over the session's parallelism. Every core calibrates
 // against its own fresh memory-system instance, so the calibrations
-// are identical to sequential per-core Mcalibrator calls regardless
-// of parallelism. Results come back in the order the cores were
-// given.
+// are identical to sequential per-core calibrations regardless of
+// parallelism. Results come back in the order the cores were given.
 func (s *Session) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration, error) {
 	return s.suite.CalibrateCores(ctx, cores...)
 }
 
-// DetectTLB probes the machine's TLB (an extension beyond the paper's
-// suite); ok is false when the machine shows no translation-miss
-// transition.
-func (s *Session) DetectTLB() (DetectedTLB, bool) {
-	return s.suite.DetectTLB()
+// DetectTLB probes the machine's TLB on core 0 (an extension beyond
+// the paper's suite, in the Saavedra & Smith lineage of mcalibrator):
+// it returns the detected entry count and miss penalty, with ok=false
+// when the machine shows no translation-miss transition. Cancelling
+// the context aborts the probe between page-count steps.
+func (s *Session) DetectTLB(ctx context.Context) (DetectedTLB, bool, error) {
+	return core.DetectTLB(ctx, s.Machine(), 0, s.Options())
 }
 
 // MemorySimulator builds the functional memory-system model of one

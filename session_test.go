@@ -6,10 +6,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"servet"
+	"servet/internal/core"
 )
 
 // quickOpt keeps the simulated sweeps fast in tests.
@@ -395,65 +397,75 @@ func TestFileCacheCorruptIsMiss(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShimsMatchSession: the legacy package-level entry
-// points are thin shims over a session and produce byte-identical
-// reports (volatile wall times and timestamps aside).
-func TestDeprecatedShimsMatchSession(t *testing.T) {
+// TestSessionMatchesCore: the public calls are thin layers over the
+// internal/core operations and return byte-identical results —
+// Session.Run (full suite and a subset) against Suite.RunProbes,
+// Session.DetectCaches against core.DetectCaches at core 0,
+// CalibrateCores against per-core core.Mcalibrator calls, and
+// Session.DetectTLB against core.DetectTLB.
+func TestSessionMatchesCore(t *testing.T) {
 	ctx := context.Background()
 	m := servet.Dunnington()
-
-	shim, err := servet.Run(m, quickOpt)
+	s := newSession(t, m, quickOpt)
+	suite, err := core.NewSuite(m, quickOpt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	s, err := servet.NewSession(m, servet.WithOptions(quickOpt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := s.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonicalJSON(t, shim) != canonicalJSON(t, direct) {
-		t.Error("Run shim diverges from Session.Run")
 	}
 
-	shimSub, err := servet.RunProbes(m, quickOpt, "cache-size", "tlb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	directSub, err := s.Run(ctx, "cache-size", "tlb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonicalJSON(t, shimSub) != canonicalJSON(t, directSub) {
-		t.Error("RunProbes shim diverges from Session.Run subset")
-	}
-
-	// Single-benchmark shims against their session methods.
-	detShim, calShim, err := servet.DetectCaches(m, quickOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	detDirect, calDirect := s.DetectCaches()
-	if len(detShim) != len(detDirect) || detShim[0].SizeBytes != detDirect[0].SizeBytes {
-		t.Errorf("DetectCaches shim %v vs session %v", detShim, detDirect)
-	}
-	if len(calShim.Sizes) != len(calDirect.Sizes) {
-		t.Errorf("calibration shim %d points vs session %d", len(calShim.Sizes), len(calDirect.Sizes))
+	for _, probes := range [][]string{nil, {"cache-size", "tlb"}} {
+		got, err := s.Run(ctx, probes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := suite.RunProbes(ctx, probes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The session stamps the cache metadata on top of the engine's
+		// report; measuredJSON drops the provenance rows.
+		want.Schema, want.Fingerprint = got.Schema, got.Fingerprint
+		if measuredJSON(t, got) != measuredJSON(t, want) {
+			t.Errorf("Session.Run(%v) diverges from Suite.RunProbes", probes)
+		}
 	}
 
-	tlbShim, okShim, err := servet.DetectTLB(servet.TLBBox(), quickOpt)
+	det, cal, err := s.DetectCaches(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := servet.NewSession(servet.TLBBox(), servet.WithOptions(quickOpt))
+	wantDet, wantCal, err := core.DetectCaches(ctx, m, 0, quickOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tlbDirect, okDirect := ts.DetectTLB()
-	if okShim != okDirect || tlbShim.Entries != tlbDirect.Entries {
-		t.Errorf("DetectTLB shim %+v/%v vs session %+v/%v", tlbShim, okShim, tlbDirect, okDirect)
+	if !reflect.DeepEqual(det, wantDet) || !reflect.DeepEqual(cal, wantCal) {
+		t.Errorf("Session.DetectCaches %v diverges from core.DetectCaches %v", det, wantDet)
+	}
+
+	cores := []int{0, 13}
+	cals, err := s.CalibrateCores(ctx, cores...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cores {
+		want, err := core.Mcalibrator(ctx, m, c, quickOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cals[i], want) {
+			t.Errorf("CalibrateCores core %d diverges from core.Mcalibrator", c)
+		}
+	}
+
+	tlb, ok, err := newSession(t, servet.TLBBox(), quickOpt).DetectTLB(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTLB, wantOK, err := core.DetectTLB(ctx, servet.TLBBox(), 0, quickOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok != wantOK || tlb != wantTLB {
+		t.Errorf("Session.DetectTLB %+v/%v diverges from core.DetectTLB %+v/%v", tlb, ok, wantTLB, wantOK)
 	}
 }
 

@@ -3,11 +3,13 @@ package servet_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"runtime"
 	"testing"
 	"time"
 
 	"servet"
+	"servet/internal/experiments"
 	"servet/internal/obs"
 )
 
@@ -154,5 +156,36 @@ func TestTracerHotPathAllocationFree(t *testing.T) {
 		sp.End()
 	}); avg != 0 {
 		t.Fatalf("nil-tracer hot path allocates %g allocs/op, want 0", avg)
+	}
+}
+
+// TestContextReachesExperimentsAndSingleOps: figure generation and
+// the single-benchmark session calls run under the caller's context —
+// a tracer attached to it records the generator's sweeps, and a
+// cancelled context aborts the call with context.Canceled.
+func TestContextReachesExperimentsAndSingleOps(t *testing.T) {
+	tracer := obs.New()
+	ctx := obs.WithTracer(context.Background(), tracer)
+	if _, err := experiments.Run(ctx, "fig2a", experiments.Opt{Seed: 1, Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	if n := tracer.SpanCounts()["sweep/mcal"]; n == 0 {
+		t.Errorf("fig2a recorded no sweep/mcal spans: %v", tracer.SpanCounts())
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	s, err := servet.NewSession(servet.TLBBox(), servet.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.DetectCaches(cancelled); !errors.Is(err, context.Canceled) {
+		t.Errorf("Session.DetectCaches err = %v, want context.Canceled", err)
+	}
+	if _, _, err := s.DetectTLB(cancelled); !errors.Is(err, context.Canceled) {
+		t.Errorf("Session.DetectTLB err = %v, want context.Canceled", err)
+	}
+	if _, err := experiments.Run(cancelled, "fig2a", experiments.Opt{Seed: 1, Quick: true}); !errors.Is(err, context.Canceled) {
+		t.Errorf("experiments.Run err = %v, want context.Canceled", err)
 	}
 }
