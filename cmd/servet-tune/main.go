@@ -313,7 +313,7 @@ func tuneRemote(base string, tr regproto.TuneRequest) (*servet.TuneResult, error
 		return nil, fmt.Errorf("registry: status %d", resp.StatusCode)
 	}
 	var res servet.TuneResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, regproto.MaxReportBytes)).Decode(&res); err != nil {
 		return nil, err
 	}
 	return &res, nil

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -12,14 +11,15 @@ import (
 	"servet/internal/topology"
 )
 
-// Probe is one pluggable benchmark of the suite. Probes declare the
-// probes they depend on by name; the engine runs them over the
-// dependency DAG (concurrently when Options.Parallelism allows) and
-// merges their Partials into the final report in registration order,
-// so the assembled report does not depend on completion order.
+// Probe is one benchmark of the suite. Probes declare the probes
+// they depend on by name; the engine runs them over the dependency DAG
+// (concurrently when Options.Parallelism allows) and merges their
+// Partials into the final report in table order, so the assembled
+// report does not depend on completion order. The unexported methods
+// keep the set closed: the probe table below is the whole suite.
 type Probe interface {
 	// Name identifies the probe ("cache-size", ...). Names are unique
-	// across the registry.
+	// across the table.
 	Name() string
 	// Deps names the probes whose outputs this probe consumes. They
 	// are guaranteed to have completed before Run is called.
@@ -27,12 +27,23 @@ type Probe interface {
 	// Run executes the probe against the environment's machine. The
 	// context is cancelled when the engine aborts the run.
 	Run(ctx context.Context, env *Env) (Partial, error)
+	// scope returns the effective option fields the probe's
+	// measurements depend on, as a plain JSON-marshalable value: two
+	// option sets with equal scopes produce identical results, so the
+	// scope's digest is the cache key that invalidates only the probes
+	// an option change affects.
+	scope(opt Options) any
+	// restore rebuilds the probe's Partial (report section plus the
+	// Value dependents consume) from a saved report; ok is false when
+	// the report lacks the section. SimulatedProbe is left for the
+	// engine to recover from the report's timing row.
+	restore(r *report.Report) (Partial, bool)
 }
 
 // Partial is one probe's contribution to the final report.
 type Partial struct {
 	// Apply merges the probe's results into the report. Apply
-	// functions are invoked sequentially in registration order after
+	// functions are invoked sequentially in table order after
 	// every probe has completed; they never run concurrently. Nil
 	// means the probe contributes only its timing.
 	Apply func(r *report.Report)
@@ -109,7 +120,7 @@ func (e *NoCacheLevelsError) Error() string {
 
 // ProbeError wraps a probe failure with the probe's name. When
 // several probes fail in one run, the engine reports the one earliest
-// in registration order.
+// in table order.
 type ProbeError struct {
 	// Probe is the failing probe's name.
 	Probe string
@@ -122,11 +133,11 @@ func (e *ProbeError) Error() string { return fmt.Sprintf("probe %s: %v", e.Probe
 func (e *ProbeError) Unwrap() error { return e.Err }
 
 // UnknownProbeError reports a request for a probe name that is not in
-// the registry.
+// the probe table.
 type UnknownProbeError struct {
 	// Name is the unknown probe name.
 	Name string
-	// Known lists the registered names.
+	// Known lists the probe names.
 	Known []string
 }
 
@@ -143,83 +154,83 @@ const (
 	probeTLB       = "tlb"
 )
 
-var (
-	regMu    sync.RWMutex
-	registry []Probe
-	regIndex = map[string]int{}
-)
-
-// Register adds a probe to the registry. Probe order at registration
-// is the canonical order: the engine merges Partials and emits
-// timings in it, so a probe's dependencies must be registered before
-// it — that keeps registration order topological and lets an Apply
-// build on what its dependencies merged. Register panics on an empty
-// or duplicate name or an unregistered dependency — registration is
-// an init-time programming act, not a runtime input.
-func Register(p Probe) {
-	name := p.Name()
-	if name == "" {
-		panic("core: Register: probe with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := regIndex[name]; dup {
-		panic(fmt.Sprintf("core: Register: duplicate probe %q", name))
-	}
-	for _, d := range p.Deps() {
-		if _, ok := regIndex[d]; !ok {
-			panic(fmt.Sprintf("core: Register: probe %q depends on unregistered probe %q (register dependencies first)", name, d))
-		}
-	}
-	regIndex[name] = len(registry)
-	registry = append(registry, p)
+// probes is the suite, in canonical order: the paper's four stages
+// (Sections III-A to III-D) plus the TLB extension. The engine merges
+// Partials and emits timing and provenance rows in this order, so a
+// probe's dependencies are listed before it — the order is
+// topological and an Apply can build on what its dependencies merged.
+var probes = []Probe{
+	cacheSizeProbe{},
+	sharedCachesProbe{},
+	memoryOverheadProbe{},
+	commCostsProbe{},
+	tlbProbe{},
 }
 
-// ProbeNames lists every registered probe in canonical order.
+func init() {
+	if err := checkProbeTable(probes); err != nil {
+		panic(err)
+	}
+}
+
+// checkProbeTable enforces what the merge order relies on: probe names
+// are non-empty and unique, and every dependency is listed before its
+// dependent.
+func checkProbeTable(ps []Probe) error {
+	seen := map[string]bool{}
+	for _, p := range ps {
+		name := p.Name()
+		if name == "" {
+			return fmt.Errorf("core: probe table: probe with empty name")
+		}
+		if seen[name] {
+			return fmt.Errorf("core: probe table: duplicate probe %q", name)
+		}
+		for _, d := range p.Deps() {
+			if !seen[d] {
+				return fmt.Errorf("core: probe table: probe %q depends on %q, which is not listed before it", name, d)
+			}
+		}
+		seen[name] = true
+	}
+	return nil
+}
+
+// ProbeNames lists every probe in canonical order.
 func ProbeNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, len(registry))
-	for i, p := range registry {
+	names := make([]string, len(probes))
+	for i, p := range probes {
 		names[i] = p.Name()
 	}
 	return names
 }
 
 // DefaultProbes lists the four paper benchmarks in the paper's order.
-// The TLB extension probe is registered but not part of the default
+// The TLB extension probe is in the table but not part of the default
 // suite, matching the paper's Table I.
 func DefaultProbes() []string {
 	return []string{probeCacheSize, probeShared, probeMemory, probeComm}
 }
 
-// knownNamesLocked snapshots the registered probe names; the caller
-// holds regMu.
-func knownNamesLocked() []string {
-	known := make([]string, len(registry))
-	for i, p := range registry {
-		known[i] = p.Name()
+// probeClosure expands names (empty means DefaultProbes) to the
+// requested probes plus their transitive dependencies, as a set of
+// names.
+func probeClosure(names []string) (map[string]bool, error) {
+	if len(names) == 0 {
+		names = DefaultProbes()
 	}
-	return known
-}
-
-// probeClosure expands names to the requested probes plus their
-// transitive dependencies, in canonical order.
-func probeClosure(names []string) ([]Probe, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	want := map[string]bool{}
 	var expand func(name string) error
 	expand = func(name string) error {
 		if want[name] {
 			return nil
 		}
-		i, ok := regIndex[name]
-		if !ok {
-			return &UnknownProbeError{Name: name, Known: knownNamesLocked()}
+		i := probeIndex(name)
+		if i < 0 {
+			return &UnknownProbeError{Name: name, Known: ProbeNames()}
 		}
 		want[name] = true
-		for _, d := range registry[i].Deps() {
+		for _, d := range probes[i].Deps() {
 			if err := expand(d); err != nil {
 				return err
 			}
@@ -231,14 +242,15 @@ func probeClosure(names []string) ([]Probe, error) {
 			return nil, err
 		}
 	}
-	idx := make([]int, 0, len(want))
-	for name := range want {
-		idx = append(idx, regIndex[name])
+	return want, nil
+}
+
+// probeIndex returns the table index of the named probe, or -1.
+func probeIndex(name string) int {
+	for i, p := range probes {
+		if p.Name() == name {
+			return i
+		}
 	}
-	sort.Ints(idx)
-	probes := make([]Probe, len(idx))
-	for i, k := range idx {
-		probes[i] = registry[k]
-	}
-	return probes, nil
+	return -1
 }

@@ -30,7 +30,22 @@ func TestProbeRegistryCanonicalOrder(t *testing.T) {
 	}
 }
 
-// stubProbe lets tests exercise Register's validation.
+// TestProbeTableInvariants: the table order is the merge order, so the
+// table itself must pass checkProbeTable, and the default suite draws
+// from it.
+func TestProbeTableInvariants(t *testing.T) {
+	if err := checkProbeTable(probes); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range DefaultProbes() {
+		if probeIndex(name) < 0 {
+			t.Errorf("default probe %q not in the table", name)
+		}
+	}
+}
+
+// stubProbe lets tests exercise checkProbeTable on tables other than
+// the suite's.
 type stubProbe struct {
 	name string
 	deps []string
@@ -41,39 +56,40 @@ func (s stubProbe) Deps() []string { return s.deps }
 func (s stubProbe) Run(context.Context, *Env) (Partial, error) {
 	return Partial{}, nil
 }
+func (s stubProbe) scope(Options) any                      { return nil }
+func (s stubProbe) restore(*report.Report) (Partial, bool) { return Partial{}, false }
 
-// TestRegisterRejectsUnregisteredDep: registration order is the merge
-// order, so a probe whose dependency is not yet registered must be
-// refused — otherwise its Apply would merge before its dependency's.
+// TestRegisterRejectsUnregisteredDep: table order is the merge order,
+// so a probe whose dependency is listed after it (or not at all) must
+// be refused — otherwise its Apply would merge before its dependency's.
 func TestRegisterRejectsUnregisteredDep(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("probe with unregistered dependency accepted")
-		}
-	}()
-	Register(stubProbe{name: "test-orphan", deps: []string{"not-registered-yet"}})
+	orphan := append(append([]Probe{}, probes...), stubProbe{name: "test-orphan", deps: []string{"not-listed"}})
+	if checkProbeTable(orphan) == nil {
+		t.Error("probe with unlisted dependency accepted")
+	}
+	late := []Probe{stubProbe{name: "b", deps: []string{"a"}}, stubProbe{name: "a"}}
+	if checkProbeTable(late) == nil {
+		t.Error("probe listed before its dependency accepted")
+	}
 }
 
 func TestRegisterRejectsDuplicate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate probe name accepted")
-		}
-	}()
-	Register(stubProbe{name: probeCacheSize})
+	dup := append(append([]Probe{}, probes...), stubProbe{name: probeCacheSize})
+	if checkProbeTable(dup) == nil {
+		t.Error("duplicate probe name accepted")
+	}
+	if checkProbeTable([]Probe{stubProbe{}}) == nil {
+		t.Error("empty probe name accepted")
+	}
 }
 
 func TestProbeClosurePullsDependencies(t *testing.T) {
-	probes, err := probeClosure([]string{"communication-costs"})
+	want, err := probeClosure([]string{"communication-costs"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, p := range probes {
-		names = append(names, p.Name())
-	}
-	if len(names) != 2 || names[0] != "cache-size" || names[1] != "communication-costs" {
-		t.Errorf("closure = %v", names)
+	if len(want) != 2 || !want["cache-size"] || !want["communication-costs"] {
+		t.Errorf("closure = %v", want)
 	}
 }
 
@@ -93,7 +109,7 @@ func TestRunProbesSubsetCacheSizeOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunProbes(context.Background(), "cache-size")
+	r, err := s.Run(context.Background(), nil, "cache-size")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +137,7 @@ func TestRunProbesSubsetPullsDeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunProbes(context.Background(), "shared-caches")
+	r, err := s.Run(context.Background(), nil, "shared-caches")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +157,7 @@ func TestRunProbesTLB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunProbes(context.Background(), "tlb")
+	r, err := s.Run(context.Background(), nil, "tlb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +169,7 @@ func TestRunProbesTLB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s2.RunProbes(context.Background(), "tlb")
+	r2, err := s2.Run(context.Background(), nil, "tlb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +190,7 @@ func TestRunProbesNoCacheLevelsTypedError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = s.RunProbes(context.Background())
+		_, err = s.Run(context.Background(), nil)
 		var pe *ProbeError
 		if !errors.As(err, &pe) || pe.Probe != "cache-size" {
 			t.Fatalf("parallelism %d: err = %v, want ProbeError{cache-size}", parallelism, err)
@@ -193,20 +209,25 @@ func TestRunProbesCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.RunProbes(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := s.Run(ctx, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
-// goldenJSON marshals a report with wall times zeroed: wall clocks
-// differ between any two runs, while everything else in the report is
-// deterministic.
+// goldenJSON marshals a report with wall times and provenance
+// timestamps zeroed: wall clocks differ between any two runs, while
+// everything else in the report is deterministic.
 func goldenJSON(t *testing.T, r *report.Report) string {
 	t.Helper()
 	clone := *r
 	clone.Timings = append([]report.StageTiming(nil), r.Timings...)
 	for i := range clone.Timings {
 		clone.Timings[i].Wall = 0
+	}
+	clone.Provenance = append([]report.ProbeProvenance(nil), r.Provenance...)
+	for i := range clone.Provenance {
+		clone.Provenance[i].Wall = 0
+		clone.Provenance[i].Timestamp = time.Time{}
 	}
 	data, err := json.Marshal(&clone)
 	if err != nil {
@@ -243,7 +264,7 @@ func TestParallelMatchesSequentialAllModels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := s.RunProbes(context.Background())
+				r, err := s.Run(context.Background(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,7 +285,7 @@ func TestEngineMatchesLegacySequentialGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunProbes(context.Background())
+	r, err := s.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,6 +328,17 @@ func TestEngineMatchesLegacySequentialGolden(t *testing.T) {
 	legacy.Timings = append(legacy.Timings, report.StageTiming{
 		Stage: "communication-costs", SimulatedProbe: timeDuration(commNS),
 	})
+	// The engine's provenance: every stage measured now, under its
+	// options digest.
+	for _, name := range DefaultProbes() {
+		digest, err := s.digest(probes[probeIndex(name)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy.Provenance = append(legacy.Provenance, report.ProbeProvenance{
+			Probe: name, Status: report.ProvenanceRan, OptionsDigest: digest,
+		})
+	}
 
 	if got, want := goldenJSON(t, r), goldenJSON(t, legacy); got != want {
 		t.Errorf("engine diverges from legacy orchestration:\nengine: %s\nlegacy: %s", got, want)

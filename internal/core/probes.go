@@ -7,16 +7,10 @@ import (
 	"servet/internal/report"
 )
 
-// The built-in probes: the four paper benchmarks (Sections III-A to
-// III-D) plus the TLB extension. Registration order is the paper's
-// stage order, which fixes the merge and timing order of the report.
-func init() {
-	Register(cacheSizeProbe{})
-	Register(sharedCachesProbe{})
-	Register(memoryOverheadProbe{})
-	Register(commCostsProbe{})
-	Register(tlbProbe{})
-}
+// The built-in probes of the table in probe.go: the four paper
+// benchmarks (Sections III-A to III-D) plus the TLB extension. Each
+// probe builds its Partial with one helper that both Run and restore
+// call, so a restored section merges exactly like a measured one.
 
 // cacheSizeOutput is the cache-size probe's Value: the detected
 // levels and the raw calibration curve.
@@ -44,9 +38,16 @@ func (cacheSizeProbe) Run(ctx context.Context, env *Env) (Partial, error) {
 	if len(levels) == 0 {
 		return Partial{}, &NoCacheLevelsError{Machine: env.Machine.Name}
 	}
+	part := cacheSizePartial(cacheSizeOutput{levels: levels, cal: cal})
+	part.SimulatedProbe = time.Duration(env.Machine.CyclesToNS(cal.ProbeCycles))
+	return part, nil
+}
+
+// cacheSizePartial appends the detected levels to the cache section.
+func cacheSizePartial(out cacheSizeOutput) Partial {
 	return Partial{
 		Apply: func(r *report.Report) {
-			for _, lvl := range levels {
+			for _, lvl := range out.levels {
 				r.Caches = append(r.Caches, report.CacheResult{
 					Level:     lvl.Level,
 					SizeBytes: lvl.SizeBytes,
@@ -54,9 +55,8 @@ func (cacheSizeProbe) Run(ctx context.Context, env *Env) (Partial, error) {
 				})
 			}
 		},
-		SimulatedProbe: time.Duration(env.Machine.CyclesToNS(cal.ProbeCycles)),
-		Value:          cacheSizeOutput{levels: levels, cal: cal},
-	}, nil
+		Value: out,
+	}
 }
 
 // scope: mcalibrator grid, traversal and gradient-detection options.
@@ -84,18 +84,7 @@ func (cacheSizeProbe) restore(r *report.Report) (Partial, bool) {
 	for i, c := range r.Caches {
 		levels[i] = DetectedCache{Level: c.Level, SizeBytes: c.SizeBytes, Method: c.Method}
 	}
-	return Partial{
-		Apply: func(r2 *report.Report) {
-			for _, lvl := range levels {
-				r2.Caches = append(r2.Caches, report.CacheResult{
-					Level:     lvl.Level,
-					SizeBytes: lvl.SizeBytes,
-					Method:    lvl.Method,
-				})
-			}
-		},
-		Value: cacheSizeOutput{levels: levels},
-	}, true
+	return cacheSizePartial(cacheSizeOutput{levels: levels}), true
 }
 
 // sharedCachesProbe determines which cores share each detected cache
@@ -120,26 +109,35 @@ func (sharedCachesProbe) Run(ctx context.Context, env *Env) (Partial, error) {
 			cycles += shared[i].ProbeCycles
 		}
 	}
+	groups := make([][][]int, len(shared))
+	for i, sc := range shared {
+		groups[i] = sc.Groups
+	}
+	part := sharedCachesPartial(groups)
+	part.SimulatedProbe = time.Duration(env.Machine.CyclesToNS(cycles))
+	part.Value = shared
+	return part, nil
+}
+
+// sharedCachesPartial sets each cache level's sharing groups. The
+// cache-size probe merges before this one (it is a dependency, hence
+// earlier in table order), so the level entries already exist.
+func sharedCachesPartial(groups [][][]int) Partial {
 	return Partial{
 		Apply: func(r *report.Report) {
-			// The cache-size probe merges before this one (it is a
-			// dependency, hence earlier in registration order), so the
-			// level entries already exist.
 			for i := range r.Caches {
-				if i < len(shared) {
-					r.Caches[i].SharedGroups = shared[i].Groups
+				if i < len(groups) {
+					r.Caches[i].SharedGroups = groups[i]
 				}
 			}
 		},
-		SimulatedProbe: time.Duration(env.Machine.CyclesToNS(cycles)),
-		Value:          shared,
-	}, nil
+	}
 }
 
 // scope: the Fig. 5 concurrent-traversal options, including the
 // per-measurement allocation count the sweep averages over. The probe
 // also consumes the cache-size probe's output, but dependency
-// freshness is the cache's job, not the digest's.
+// freshness is the planner's job (Suite.plan), not the digest's.
 func (sharedCachesProbe) scope(o Options) any {
 	return struct {
 		Seed           int64
@@ -163,15 +161,7 @@ func (sharedCachesProbe) restore(r *report.Report) (Partial, bool) {
 	for i, c := range r.Caches {
 		groups[i] = c.SharedGroups
 	}
-	return Partial{
-		Apply: func(r2 *report.Report) {
-			for i := range r2.Caches {
-				if i < len(groups) {
-					r2.Caches[i].SharedGroups = groups[i]
-				}
-			}
-		},
-	}, true
+	return sharedCachesPartial(groups), true
 }
 
 // memoryOverheadProbe characterizes concurrent memory-access
@@ -186,11 +176,17 @@ func (memoryOverheadProbe) Run(ctx context.Context, env *Env) (Partial, error) {
 	if err != nil {
 		return Partial{}, err
 	}
+	part := memoryPartial(memRes)
+	part.SimulatedProbe = time.Duration(memNS)
+	return part, nil
+}
+
+// memoryPartial sets the memory section.
+func memoryPartial(memRes report.MemoryResult) Partial {
 	return Partial{
-		Apply:          func(r *report.Report) { r.Memory = memRes },
-		SimulatedProbe: time.Duration(memNS),
-		Value:          memRes,
-	}, nil
+		Apply: func(r *report.Report) { r.Memory = memRes },
+		Value: memRes,
+	}
 }
 
 // scope: the Fig. 6 bandwidth-characterization options.
@@ -209,11 +205,7 @@ func (memoryOverheadProbe) restore(r *report.Report) (Partial, bool) {
 		// bandwidth; zero means the section was never filled.
 		return Partial{}, false
 	}
-	memRes := r.Memory
-	return Partial{
-		Apply: func(r2 *report.Report) { r2.Memory = memRes },
-		Value: memRes,
-	}, true
+	return memoryPartial(r.Memory), true
 }
 
 // commCostsProbe characterizes the communication layers (Section
@@ -236,11 +228,17 @@ func (commCostsProbe) Run(ctx context.Context, env *Env) (Partial, error) {
 	if err != nil {
 		return Partial{}, err
 	}
+	part := commPartial(commRes)
+	part.SimulatedProbe = time.Duration(commNS)
+	return part, nil
+}
+
+// commPartial sets the communication section.
+func commPartial(commRes report.CommResult) Partial {
 	return Partial{
-		Apply:          func(r *report.Report) { r.Comm = commRes },
-		SimulatedProbe: time.Duration(commNS),
-		Value:          commRes,
-	}, nil
+		Apply: func(r *report.Report) { r.Comm = commRes },
+		Value: commRes,
+	}
 }
 
 // scope: the Fig. 7 ping-pong and sweep options.
@@ -263,15 +261,11 @@ func (commCostsProbe) restore(r *report.Report) (Partial, bool) {
 	if r.Comm.MessageBytes <= 0 {
 		return Partial{}, false
 	}
-	commRes := r.Comm
-	return Partial{
-		Apply: func(r2 *report.Report) { r2.Comm = commRes },
-		Value: commRes,
-	}, true
+	return commPartial(r.Comm), true
 }
 
-// tlbProbe is the TLB extension probe. It is registered (so -probes
-// can request it) but not part of DefaultProbes: the paper's suite is
+// tlbProbe is the TLB extension probe. It is in the probe table (so
+// -probes can request it) but not part of DefaultProbes: the paper's suite is
 // the four stages above.
 type tlbProbe struct{}
 
@@ -283,15 +277,27 @@ func (tlbProbe) Run(ctx context.Context, env *Env) (Partial, error) {
 	if err != nil {
 		return Partial{}, err
 	}
+	var section *report.TLBResult
+	if ok {
+		section = &report.TLBResult{Entries: res.Entries, MissCycles: res.MissCycles}
+	}
+	part := tlbPartial(section)
+	part.SimulatedProbe = time.Duration(env.Machine.CyclesToNS(res.ProbeCycles))
+	part.Value = res
+	return part, nil
+}
+
+// tlbPartial sets the TLB section to a copy of section; nil (no
+// detectable TLB) leaves it empty.
+func tlbPartial(section *report.TLBResult) Partial {
 	return Partial{
 		Apply: func(r *report.Report) {
-			if ok {
-				r.TLB = &report.TLBResult{Entries: res.Entries, MissCycles: res.MissCycles}
+			if section != nil {
+				cp := *section
+				r.TLB = &cp
 			}
 		},
-		SimulatedProbe: time.Duration(env.Machine.CyclesToNS(res.ProbeCycles)),
-		Value:          res,
-	}, nil
+	}
 }
 
 // scope: the traversal and gradient-detection options the TLB sweep
@@ -310,17 +316,5 @@ func (tlbProbe) scope(o Options) any {
 // without a detectable TLB (provenance, not section presence, tells
 // the cache the probe ran).
 func (tlbProbe) restore(r *report.Report) (Partial, bool) {
-	var res *report.TLBResult
-	if r.TLB != nil {
-		cp := *r.TLB
-		res = &cp
-	}
-	return Partial{
-		Apply: func(r2 *report.Report) {
-			if res != nil {
-				cp := *res
-				r2.TLB = &cp
-			}
-		},
-	}, true
+	return tlbPartial(r.TLB), true
 }

@@ -9,112 +9,132 @@ import (
 	"servet/internal/report"
 )
 
-// Probe-result caching plumbing: per-probe option digests decide
-// whether a saved section is still valid, and restorers rebuild a
-// probe's Partial (report section plus the typed Value dependent
-// probes consume) from a previously saved report, so a cached probe
-// never has to execute.
+// Probe-result reuse: per-probe option digests decide whether a saved
+// section is still valid, and each probe's restore rebuilds its
+// Partial from a saved report, so a cached probe never has to
+// execute. plan makes the whole decision for one run.
 
-// scopedProbe is implemented by probes that declare which fields of
-// the effective Options their measurements depend on. The scope is a
-// plain JSON-marshalable struct; two option sets with equal scopes
-// produce identical probe results, so the digest of the scope is the
-// cache key component that invalidates only the probes an option
-// change actually affects.
-type scopedProbe interface {
-	scope(opt Options) any
+// action is what a run does with one probe of the table.
+type action int
+
+const (
+	// actSkip: outside the closure and not carried.
+	actSkip action = iota
+	// actRun: in the closure and executed.
+	actRun
+	// actRestore: in the closure, restored from the cached report.
+	actRestore
+	// actCarry: outside the closure, carried over from the cached
+	// report because it is still consistent with this run.
+	actCarry
+)
+
+// step is one probe's part in a run, aligned with the probe table.
+type step struct {
+	act action
+	// same marks a section dependents may rely on as unchanged: a
+	// closure probe whose cached digest equals this run's (probes are
+	// deterministic, so it reproduces the cached output whether it is
+	// restored or run), or a carried leftover.
+	same bool
+	// part is the restored or carried Partial; a run probe's comes
+	// from its execution.
+	part Partial
+	// row is the provenance row the run emits; a run probe's Wall and
+	// Timestamp are filled in later.
+	row report.ProbeProvenance
 }
 
-// restorableProbe is implemented by probes that can rebuild their
-// Partial from a saved report instead of executing.
-type restorableProbe interface {
-	restore(r *report.Report) (Partial, bool)
+// plan decides, in one pass over the probe table in canonical (hence
+// topological) order, what a run of names against cached does with
+// each probe. It executes nothing. A closure probe is restored when
+// its cached section carries this run's options digest and every
+// dependency was restored too; otherwise it runs. A probe outside the
+// closure is carried when its cached section exists and every
+// dependency it was measured against is unchanged (same); a stale
+// leftover is dropped, so its provenance row disappears and a later
+// run re-measures it.
+func (s *Suite) plan(cached *report.Report, names []string) ([]step, error) {
+	want, err := probeClosure(names)
+	if err != nil {
+		return nil, err
+	}
+	steps := make([]step, len(probes))
+	depsAll := func(p Probe, ok func(step) bool) bool {
+		for _, d := range p.Deps() {
+			if !ok(steps[probeIndex(d)]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, p := range probes {
+		name := p.Name()
+		var prov *report.ProbeProvenance
+		if cached != nil {
+			prov = cached.ProvenanceFor(name)
+		}
+		if !want[name] {
+			if prov == nil || !depsAll(p, func(d step) bool { return d.same }) {
+				continue
+			}
+			if part, ok := restorePartial(p, cached); ok {
+				steps[i] = step{act: actCarry, same: true, part: part, row: cachedRow(prov)}
+			}
+			continue
+		}
+		digest, err := s.digest(p)
+		if err != nil {
+			return nil, err
+		}
+		same := prov != nil && prov.OptionsDigest == digest
+		steps[i] = step{act: actRun, same: same, row: report.ProbeProvenance{
+			Probe: name, Status: report.ProvenanceRan, OptionsDigest: digest,
+		}}
+		if !same || !depsAll(p, func(d step) bool { return d.act == actRestore }) {
+			continue
+		}
+		if part, ok := restorePartial(p, cached); ok {
+			steps[i] = step{act: actRestore, same: true, part: part, row: cachedRow(prov)}
+		}
+	}
+	return steps, nil
 }
 
-// OptionsDigest returns the digest of the effective option fields the
-// named probe's measurements depend on. Probes that do not declare a
-// scope are digested over the full effective options (any option
-// change invalidates them).
-func (s *Suite) OptionsDigest(name string) (string, error) {
-	p, err := probeByName(name)
-	if err != nil {
-		return "", err
-	}
-	var scope any = s.opt
-	if sp, ok := p.(scopedProbe); ok {
-		scope = sp.scope(s.opt)
-	}
-	data, err := json.Marshal(struct {
-		Probe string
-		Scope any
-	}{name, scope})
-	if err != nil {
-		return "", fmt.Errorf("core: digest %s: %w", name, err)
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8]), nil
+// cachedRow is the provenance row of a reused section: it keeps the
+// digest, measurement time and wall cost of the run that produced it.
+func cachedRow(prov *report.ProbeProvenance) report.ProbeProvenance {
+	row := *prov
+	row.Status = report.ProvenanceCached
+	return row
 }
 
-// Restore rebuilds the named probe's Partial from a saved report. ok
-// is false when the probe does not support restoration or the report
-// lacks its section; the caller then executes the probe normally.
-// The Partial's SimulatedProbe is recovered from the report's timing
-// row, so restored runs keep their Table I entries.
-func Restore(name string, r *report.Report) (Partial, bool) {
-	p, err := probeByName(name)
-	if err != nil {
-		return Partial{}, false
-	}
-	rp, ok := p.(restorableProbe)
-	if !ok {
-		return Partial{}, false
-	}
-	part, ok := rp.restore(r)
+// restorePartial rebuilds p's Partial from a saved report, recovering
+// SimulatedProbe from the report's timing row so reused sections keep
+// their Table I entries.
+func restorePartial(p Probe, r *report.Report) (Partial, bool) {
+	part, ok := p.restore(r)
 	if !ok {
 		return Partial{}, false
 	}
 	for _, tm := range r.Timings {
-		if tm.Stage == name {
+		if tm.Stage == p.Name() {
 			part.SimulatedProbe = tm.SimulatedProbe
 		}
 	}
 	return part, true
 }
 
-// probeByName finds a registered probe.
-func probeByName(name string) (Probe, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	i, ok := regIndex[name]
-	if !ok {
-		return nil, &UnknownProbeError{Name: name, Known: knownNamesLocked()}
-	}
-	return registry[i], nil
-}
-
-// ProbeDeps returns the declared dependencies of the named probe.
-func ProbeDeps(name string) ([]string, error) {
-	p, err := probeByName(name)
+// digest returns the digest of the effective option fields p's
+// measurements depend on.
+func (s *Suite) digest(p Probe) (string, error) {
+	data, err := json.Marshal(struct {
+		Probe string
+		Scope any
+	}{p.Name(), p.scope(s.opt)})
 	if err != nil {
-		return nil, err
+		return "", fmt.Errorf("core: digest %s: %w", p.Name(), err)
 	}
-	return append([]string(nil), p.Deps()...), nil
-}
-
-// ProbeClosureNames expands the requested probe names (empty means
-// DefaultProbes) to their transitive dependency closure, in canonical
-// (registration, hence topological) order.
-func ProbeClosureNames(names ...string) ([]string, error) {
-	if len(names) == 0 {
-		names = DefaultProbes()
-	}
-	probes, err := probeClosure(names)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(probes))
-	for i, p := range probes {
-		out[i] = p.Name()
-	}
-	return out, nil
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:8]), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"servet/internal/obs"
 	"servet/internal/report"
@@ -12,11 +13,10 @@ import (
 )
 
 // Suite runs Servet probes on a machine and assembles the
-// install-time report. Probes come from the package registry; the
+// install-time report. Probes come from the package's probe table; the
 // engine schedules them over their dependency DAG, concurrently when
-// Options.Parallelism allows, and merges their results in
-// registration order so the report is identical regardless of
-// completion order.
+// Options.Parallelism allows, and merges their results in table order
+// so the report is identical regardless of completion order.
 type Suite struct {
 	m   *topology.Machine
 	opt Options
@@ -68,89 +68,80 @@ func (s *Suite) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration
 	return cals, nil
 }
 
-// RunProbes executes the named probes plus their transitive
-// dependencies (no names means DefaultProbes). Independent probes run
-// concurrently up to Options.Parallelism; results merge into the
-// report in registration order, with one StageTiming per executed
-// probe. A probe failure is returned as a *ProbeError; cancelling the
-// context aborts the run.
-func (s *Suite) RunProbes(ctx context.Context, names ...string) (*report.Report, error) {
-	r, _, err := s.RunSeeded(ctx, nil, names...)
-	return r, err
-}
-
-// RunSeeded is RunProbes with precomputed partials: probes named in
-// seeded (typically restored from a cache via Restore) are not
-// executed — their partial goes straight into the environment, where
-// it both satisfies dependents and merges into the report in the
-// usual canonical order. Only the remaining probes are scheduled.
-// executed lists the probes that actually ran, in canonical order;
-// seeded probes keep a Table I timing row with zero wall time.
-func (s *Suite) RunSeeded(ctx context.Context, seeded map[string]Partial, names ...string) (_ *report.Report, executed []string, _ error) {
-	if len(names) == 0 {
-		names = DefaultProbes()
-	}
-	probes, err := probeClosure(names)
+// Run executes the named probes plus their transitive dependencies
+// (no names means DefaultProbes) and merges the results into one
+// report. Independent probes run concurrently up to
+// Options.Parallelism; a probe failure is returned as a *ProbeError
+// and cancelling the context aborts the run.
+//
+// cached, when non-nil, is a previously saved report of the same
+// machine. In one pass over the probe table (see plan) each probe of
+// the closure whose cached section is still fresh is restored instead
+// of executed, and cached sections of probes outside the closure that
+// are still consistent with this run are carried along, so a subset
+// re-run narrows neither the report nor the entry it is saved to.
+// Sections merge, and Timings and Provenance rows are emitted, in
+// canonical order whatever their source. Restored and carried rows
+// keep their original measurement timestamp and wall cost; "ran" rows
+// carry a zero Timestamp for the caller to stamp, which keeps this
+// package free of wall-clock reads.
+func (s *Suite) Run(ctx context.Context, cached *report.Report, names ...string) (*report.Report, error) {
+	steps, err := s.plan(cached, names)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	env := newEnv(s.m, s.opt)
-	runs := make(map[string]bool, len(probes))
-	for _, p := range probes {
-		name := p.Name()
-		if part, ok := seeded[name]; ok {
-			env.put(name, part)
-		} else {
-			runs[name] = true
-		}
-	}
-
 	// Probe spans record into the context's tracer (nil when the run
 	// is untraced): one "probe" span per executed probe, so a trace
 	// shows which stages dominated the run.
 	tr := obs.FromContext(ctx)
-
 	var tasks []sched.Task
-	taskIdx := make(map[string]int, len(runs))
-	for _, p := range probes {
-		if !runs[p.Name()] {
-			continue
-		}
-		p := p
-		// Seeded dependencies are already satisfied; the scheduler only
-		// needs the edges between probes that actually run.
-		var deps []string
-		for _, d := range p.Deps() {
-			if runs[d] {
-				deps = append(deps, d)
-			}
-		}
-		taskIdx[p.Name()] = len(tasks)
-		tasks = append(tasks, sched.Task{
-			Name: p.Name(),
-			Deps: deps,
-			Run: func(ctx context.Context) error {
-				sp := tr.Start("probe", p.Name())
-				part, err := p.Run(ctx, env)
-				sp.End()
-				if err != nil {
-					return err
+	taskIdx := make([]int, len(steps))
+	restored := 0
+	for i, st := range steps {
+		p := probes[i]
+		switch st.act {
+		case actRestore:
+			env.put(p.Name(), st.part)
+			restored++
+		case actRun:
+			// Restored dependencies are already satisfied; the scheduler
+			// only needs the edges between probes that actually run.
+			var deps []string
+			for _, d := range p.Deps() {
+				if steps[probeIndex(d)].act == actRun {
+					deps = append(deps, d)
 				}
-				env.put(p.Name(), part)
-				return nil
-			},
-		})
+			}
+			taskIdx[i] = len(tasks)
+			tasks = append(tasks, sched.Task{
+				Name: p.Name(),
+				Deps: deps,
+				Run: func(ctx context.Context) error {
+					sp := tr.Start("probe", p.Name())
+					part, err := p.Run(ctx, env)
+					sp.End()
+					if err != nil {
+						return err
+					}
+					env.put(p.Name(), part)
+					return nil
+				},
+			})
+		}
 	}
 
 	results, err := sched.Run(ctx, tasks, s.opt.Parallelism)
 	if err != nil {
 		var te *sched.TaskError
 		if errors.As(err, &te) {
-			return nil, nil, &ProbeError{Probe: te.Name, Err: te.Err}
+			return nil, &ProbeError{Probe: te.Name, Err: te.Err}
 		}
-		return nil, nil, err
+		return nil, err
 	}
+	tr.Count(obs.CounterProbesRestored, int64(restored))
+	tr.Count(obs.CounterProbesRan, int64(len(tasks)))
 
 	r := &report.Report{
 		Machine:      s.m.Name,
@@ -158,21 +149,27 @@ func (s *Suite) RunSeeded(ctx context.Context, seeded map[string]Partial, names 
 		Nodes:        s.m.Nodes,
 		CoresPerNode: s.m.CoresPerNode,
 	}
-	for _, p := range probes {
-		name := p.Name()
-		part, _ := env.Output(name)
+	for i, st := range steps {
+		if st.act == actSkip {
+			continue
+		}
+		// Restored and carried sections keep a Table I row with zero
+		// wall time; their provenance keeps the original cost.
+		part, row, wall := st.part, st.row, time.Duration(0)
+		if st.act == actRun {
+			part, _ = env.Output(row.Probe)
+			wall = results[taskIdx[i]].Wall
+			row.Wall = wall
+		}
 		if part.Apply != nil {
 			part.Apply(r)
 		}
-		timing := report.StageTiming{
-			Stage:          name,
+		r.Timings = append(r.Timings, report.StageTiming{
+			Stage:          row.Probe,
+			Wall:           wall,
 			SimulatedProbe: part.SimulatedProbe,
-		}
-		if runs[name] {
-			timing.Wall = results[taskIdx[name]].Wall
-			executed = append(executed, name)
-		}
-		r.Timings = append(r.Timings, timing)
+		})
+		r.Provenance = append(r.Provenance, row)
 	}
-	return r, executed, nil
+	return r, nil
 }

@@ -38,7 +38,7 @@ func TestSuiteRunDempsey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunProbes(context.Background())
+	r, err := s.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSuiteRunSMTQuad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunProbes(context.Background())
+	r, err := s.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSuiteDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := s.RunProbes(context.Background())
+		r, err := s.Run(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestSuiteRunNehalem2S(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunProbes(context.Background())
+	r, err := s.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestSuiteRunUnicore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunProbes(context.Background())
+	r, err := s.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSuiteRunTLBBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunProbes(context.Background())
+	r, err := s.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

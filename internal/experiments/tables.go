@@ -75,7 +75,7 @@ func table1(ctx context.Context, o Opt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := suite.RunProbes(ctx)
+		r, err := suite.Run(ctx, nil)
 		if err != nil {
 			return nil, err
 		}

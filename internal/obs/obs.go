@@ -52,8 +52,9 @@ const (
 	// CounterCacheHit / CounterCacheMiss count session cache lookups.
 	CounterCacheHit  = "cache.lookup.hit"
 	CounterCacheMiss = "cache.lookup.miss"
-	// CounterProbesRestored / CounterProbesRan count probes restored
-	// from cache vs measured by the engine in a session run.
+	// CounterProbesRestored / CounterProbesRan count the requested
+	// probes an engine run (core.Suite.Run) restored from a cached
+	// report vs measured; carried leftovers count as neither.
 	CounterProbesRestored = "cache.probe.restored"
 	CounterProbesRan      = "cache.probe.ran"
 	// CounterTuneEvaluations counts objective evaluations;

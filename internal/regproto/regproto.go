@@ -32,6 +32,14 @@ const (
 	MetricsPath = "/metrics"
 )
 
+// MaxReportBytes bounds every body that crosses the registry wire, in
+// both directions: the server caps PUT and POST bodies at it, and
+// clients read at most this much of a response, so an oversized body
+// is an error (or a cache miss), never an unbounded read. The largest
+// real report (FinisTerrae, full bandwidth sweeps) is well under a
+// megabyte.
+const MaxReportBytes = 32 << 20
+
 // ReportPath returns the endpoint of one fingerprint's report.
 func ReportPath(fingerprint string) string {
 	return ReportsPath + "/" + fingerprint

@@ -65,7 +65,7 @@ type Report struct {
 // ProbeProvenance describes where one probe's report section came
 // from.
 type ProbeProvenance struct {
-	// Probe is the probe's registry name ("cache-size", ...).
+	// Probe is the probe's name ("cache-size", ...).
 	Probe string `json:"probe"`
 	// Status is ProvenanceRan or ProvenanceCached.
 	Status string `json:"status"`
@@ -214,6 +214,17 @@ func (r *Report) ProvenanceFor(probe string) *ProbeProvenance {
 		}
 	}
 	return nil
+}
+
+// StampRan sets the measurement time of every section measured by the
+// run that produced the report (provenance status ProvenanceRan);
+// restored sections keep their original timestamps.
+func (r *Report) StampRan(at time.Time) {
+	for i := range r.Provenance {
+		if r.Provenance[i].Status == ProvenanceRan {
+			r.Provenance[i].Timestamp = at
+		}
+	}
 }
 
 // Clone returns a deep copy of the report (via its JSON form, which

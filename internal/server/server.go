@@ -29,9 +29,12 @@ import (
 	"servet/internal/tune"
 )
 
-// maxReportBytes bounds PUT and POST bodies; the largest real report
-// (FinisTerrae, full bandwidth sweeps) is well under a megabyte.
-const maxReportBytes = 32 << 20
+// maxRunNodes caps the node count of a run or tune request: the
+// machine model grows with it and the communication sweep is
+// quadratic in its cores, so an unbounded count is a cheap way to
+// pin the engine. 64 nodes (1,024 FinisTerrae cores) is far above the
+// 2 nodes the CLI defaults to.
+const maxRunNodes = 64
 
 // Registry is the probe-registry server: an http.Handler over a Store
 // of fingerprint-keyed reports with an on-demand probe engine.
@@ -228,7 +231,7 @@ func (reg *Registry) handleGetReport(w http.ResponseWriter, req *http.Request) {
 func (reg *Registry) handlePutReport(w http.ResponseWriter, req *http.Request) {
 	fp := req.PathValue("fingerprint")
 	var r report.Report
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxReportBytes)).Decode(&r); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, regproto.MaxReportBytes)).Decode(&r); err != nil {
 		writeError(w, http.StatusBadRequest, regproto.Error{
 			Code: regproto.CodeBadRequest, Message: "malformed report body: " + err.Error(),
 		})
@@ -324,6 +327,9 @@ func normalizeRun(rr *regproto.RunRequest) (*servet.Machine, error) {
 	if rr.Nodes <= 0 {
 		rr.Nodes = 2
 	}
+	if rr.Nodes > maxRunNodes {
+		return nil, fmt.Errorf("nodes %d exceeds the limit of %d", rr.Nodes, maxRunNodes)
+	}
 	if rr.Seed == 0 {
 		rr.Seed = 1 // the engine's default (core.withDefaults)
 	}
@@ -341,7 +347,7 @@ func normalizeRun(rr *regproto.RunRequest) (*servet.Machine, error) {
 // ones); the stored entry is updated before anyone gets the report.
 func (reg *Registry) handleRun(w http.ResponseWriter, req *http.Request) {
 	var rr regproto.RunRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxReportBytes)).Decode(&rr); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, regproto.MaxReportBytes)).Decode(&rr); err != nil {
 		writeError(w, http.StatusBadRequest, regproto.Error{
 			Code: regproto.CodeBadRequest, Message: "malformed run request: " + err.Error(),
 		})
@@ -388,9 +394,10 @@ func (reg *Registry) resolveRun(m *servet.Machine, rr regproto.RunRequest) (rep 
 	}
 	return reg.flight.do(fp+"|"+string(keyBytes), func() (*report.Report, error) {
 		// Serialize against other runs and PUTs on this fingerprint:
-		// the waiter's Lookup then sees the finished entry and its
-		// carryLeftovers keeps every section both runs produced,
-		// instead of last-write-wins dropping one run's measurements.
+		// the waiter's Lookup then sees the finished entry, and the
+		// engine (core.Suite.Run) carries every section both runs
+		// produced, instead of last-write-wins dropping one run's
+		// measurements.
 		lock := reg.fingerprintLock(fp)
 		lock.Lock()
 		defer lock.Unlock()
@@ -435,7 +442,7 @@ func (reg *Registry) resolveRun(m *servet.Machine, rr regproto.RunRequest) (rep 
 func (reg *Registry) handleTune(w http.ResponseWriter, req *http.Request) {
 	reg.tuneRequests.Add(1)
 	var tr regproto.TuneRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxReportBytes)).Decode(&tr); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, regproto.MaxReportBytes)).Decode(&tr); err != nil {
 		writeError(w, http.StatusBadRequest, regproto.Error{
 			Code: regproto.CodeBadRequest, Message: "malformed tune request: " + err.Error(),
 		})

@@ -421,3 +421,43 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("fresh stats = %+v", st)
 	}
 }
+
+// TestRunNodesCap: the node count of run and tune requests is capped
+// (the machine model and the communication sweep grow with it), with
+// the cap itself accepted and one more node a 400 on both endpoints.
+func TestRunNodesCap(t *testing.T) {
+	_, ts := newTestRegistry(t)
+	run := func(nodes int) string {
+		return fmt.Sprintf(`{"machine":"finisterrae","quick":true,"probes":["cache-size"],"nodes":%d}`, nodes)
+	}
+	tuneAt := func(nodes int) string {
+		return fmt.Sprintf(`{"run":%s,"space":{"axes":[{"name":"tile","kind":"pow2","min":4,"max":8}]},"objective":{"name":"tiled-kernel","params":{"n":16}},"strategy":"grid"}`, run(nodes))
+	}
+	for _, c := range []struct {
+		path  string
+		body  string
+		nodes int
+		want  int
+	}{
+		{regproto.RunPath, run(64), 64, http.StatusOK},
+		{regproto.RunPath, run(65), 65, http.StatusBadRequest},
+		{regproto.TunePath, tuneAt(64), 64, http.StatusOK},
+		{regproto.TunePath, tuneAt(65), 65, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.want {
+			t.Errorf("%s nodes=%d: status %d, want %d", c.path, c.nodes, resp.StatusCode, c.want)
+		}
+		if c.want == http.StatusBadRequest {
+			if e := decodeError(t, resp); e.Code != regproto.CodeBadRequest {
+				t.Errorf("%s nodes=%d: code %q", c.path, c.nodes, e.Code)
+			}
+			continue
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+}

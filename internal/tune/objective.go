@@ -69,9 +69,9 @@ type ObjectiveSpec struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
-// objective registry. Like the probe registry of internal/core it is
-// populated at init time and read-only afterwards; the mutex guards
-// tests that register scratch objectives.
+// objective registry, populated at init time and read-only
+// afterwards; the mutex guards tests that register scratch
+// objectives.
 var (
 	objMu       sync.RWMutex
 	objBuilders = map[string]func(params json.RawMessage) (Objective, error){}

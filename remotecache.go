@@ -91,15 +91,18 @@ func (c *RemoteCache) Lookup(fingerprint string) (*Report, bool) {
 	if err != nil {
 		return nil, false
 	}
+	// The body is read through the wire limit: an oversized report is
+	// a miss, not an unbounded read.
+	body := io.LimitReader(resp.Body, regproto.MaxReportBytes)
 	defer func() {
-		io.Copy(io.Discard, resp.Body)
+		io.Copy(io.Discard, body)
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
 		return nil, false
 	}
 	var r Report
-	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+	if err := json.NewDecoder(body).Decode(&r); err != nil {
 		return nil, false
 	}
 	if r.Schema != report.CurrentSchema || r.Fingerprint != fingerprint {
@@ -133,12 +136,13 @@ func (c *RemoteCache) Store(fingerprint string, r *Report) error {
 		return nil
 	}
 	defer resp.Body.Close()
+	body := io.LimitReader(resp.Body, regproto.MaxReportBytes)
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		io.Copy(io.Discard, resp.Body)
+		io.Copy(io.Discard, body)
 		return nil
 	}
 	var e regproto.Error
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+	if err := json.NewDecoder(body).Decode(&e); err != nil {
 		return fmt.Errorf("servet: remote cache: registry %s: status %s", c.base, resp.Status)
 	}
 	switch e.Code {

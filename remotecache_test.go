@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"servet"
 	"servet/internal/regproto"
+	"servet/internal/report"
 	"servet/internal/server"
 )
 
@@ -277,5 +280,39 @@ func TestRemoteCacheSchemaMismatchSurfaces(t *testing.T) {
 	r.Schema = 1
 	if err := cache.Store("sha256:machine-a", r); err == nil {
 		t.Error("schema-mismatched store succeeded silently")
+	}
+}
+
+// TestRemoteCacheOversizedReportIsMiss: Lookup reads at most
+// regproto.MaxReportBytes of a registry response, so a registry
+// streaming a larger (otherwise valid, matching) report yields a miss
+// instead of an unbounded read. The same body under the limit hits,
+// so the miss is the limit's doing.
+func TestRemoteCacheOversizedReportIsMiss(t *testing.T) {
+	const fp = "sha256:oversized"
+	var pad atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintf(w, `{"schema":%d,"fingerprint":%q,"machine":"`, report.CurrentSchema, fp)
+		chunk := []byte(strings.Repeat("a", 64<<10))
+		for left := pad.Load(); left > 0; left -= int64(len(chunk)) {
+			if _, err := w.Write(chunk[:min(left, int64(len(chunk)))]); err != nil {
+				return
+			}
+		}
+		io.WriteString(w, `"}`)
+	}))
+	t.Cleanup(ts.Close)
+	cache, err := servet.NewRemoteCache(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pad.Store(1 << 10)
+	if _, ok := cache.Lookup(fp); !ok {
+		t.Fatal("small report missed")
+	}
+	pad.Store(regproto.MaxReportBytes + 1<<20)
+	if _, ok := cache.Lookup(fp); ok {
+		t.Error("report over the wire limit was accepted")
 	}
 }

@@ -3,7 +3,6 @@ package servet
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"servet/internal/core"
@@ -163,10 +162,11 @@ func (s *Session) Options() Options { return s.suite.Options() }
 // merged report, stamped with the schema version, the machine
 // fingerprint and per-probe provenance.
 //
-// When the session has a cache, probes whose cached section is still
-// fresh — same machine fingerprint, same options digest, and every
-// dependency fresh too — are restored instead of executed; only stale
-// probes (and their dependents) run, through the usual scheduler. The
+// When the session has a cache, the fingerprint's entry goes to
+// core.Suite.Run, which decides what to reuse: probes whose cached
+// section is still fresh — same options digest, and every dependency
+// fresh too — are restored instead of executed; only stale probes
+// (and their dependents) run, through the usual scheduler. The
 // merged report is identical to a fresh run's, with provenance rows
 // saying which sections were measured now ("ran") and which were
 // reused ("cached", keeping their original measurement timestamp).
@@ -179,23 +179,10 @@ func (s *Session) Options() Options { return s.suite.Options() }
 func (s *Session) Run(ctx context.Context, probes ...string) (*Report, error) {
 	// The run records into the context's tracer (nil when untraced):
 	// one "session" span over the whole run plus cache spans and
-	// restored-vs-ran counters. None of it feeds back into the report.
+	// counters. None of it feeds back into the report.
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("session", "run")
 	defer sp.End()
-
-	closure, err := core.ProbeClosureNames(probes...)
-	if err != nil {
-		return nil, err
-	}
-	digests := make(map[string]string, len(closure))
-	for _, name := range closure {
-		d, err := s.suite.OptionsDigest(name)
-		if err != nil {
-			return nil, err
-		}
-		digests[name] = d
-	}
 
 	var cached *Report
 	if s.cache != nil {
@@ -210,81 +197,16 @@ func (s *Session) Run(ctx context.Context, probes ...string) (*Report, error) {
 		}
 	}
 
-	// Walk the closure in canonical (topological) order deciding, probe
-	// by probe, whether the cached section is still fresh.
-	fresh := make(map[string]bool, len(closure))
-	seeded := make(map[string]core.Partial)
-	for _, name := range closure {
-		if cached == nil {
-			break
-		}
-		prov := cached.ProvenanceFor(name)
-		if prov == nil || prov.OptionsDigest != digests[name] {
-			continue
-		}
-		deps, err := core.ProbeDeps(name)
-		if err != nil {
-			return nil, err
-		}
-		stale := false
-		for _, d := range deps {
-			if !fresh[d] {
-				stale = true
-				break
-			}
-		}
-		if stale {
-			continue
-		}
-		part, ok := core.Restore(name, cached)
-		if !ok {
-			continue
-		}
-		fresh[name] = true
-		seeded[name] = part
-	}
-
-	rep, executed, err := s.suite.RunSeeded(ctx, seeded, closure...)
+	// The engine decides, probe by probe, what to restore, carry and
+	// run; the session only stamps the report's identity and the
+	// measurement time of the sections measured now.
+	rep, err := s.suite.Run(ctx, cached, probes...)
 	if err != nil {
 		return nil, err
 	}
-	tr.Count(obs.CounterProbesRestored, int64(len(seeded)))
-	tr.Count(obs.CounterProbesRan, int64(len(executed)))
-
 	rep.Schema = report.CurrentSchema
 	rep.Fingerprint = s.fingerprint
-	now := time.Now().UTC() //servet:wallclock — provenance timestamp, never a measurement input
-	wall := make(map[string]time.Duration, len(rep.Timings))
-	for _, tm := range rep.Timings {
-		wall[tm.Stage] = tm.Wall
-	}
-	for _, name := range closure {
-		prov := report.ProbeProvenance{Probe: name, OptionsDigest: digests[name]}
-		if fresh[name] {
-			// A restored section keeps the measurement time and cost of
-			// the run that produced it.
-			orig := cached.ProvenanceFor(name)
-			prov.Status = report.ProvenanceCached
-			prov.Timestamp = orig.Timestamp
-			prov.Wall = orig.Wall
-		} else {
-			prov.Status = report.ProvenanceRan
-			prov.Timestamp = now
-			prov.Wall = wall[name]
-		}
-		rep.Provenance = append(rep.Provenance, prov)
-	}
-
-	// A subset run must not shrink the cache entry: cached sections of
-	// probes outside the closure are carried into the merged report
-	// (and hence the stored entry) as long as they are still consistent
-	// with it, so the install-time file keeps accumulating instead of
-	// being clobbered by e.g. a tlb-only re-run.
-	if cached != nil {
-		if err := s.carryLeftovers(rep, cached, closure, digests); err != nil {
-			return nil, err
-		}
-	}
+	rep.StampRan(time.Now().UTC()) //servet:wallclock — provenance timestamp, never a measurement input
 
 	if s.cache != nil {
 		st := tr.Start("session", "cache-store")
@@ -295,89 +217,6 @@ func (s *Session) Run(ctx context.Context, probes ...string) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// carryLeftovers merges into rep the cached sections of probes that
-// were not part of this run's closure. A leftover is carried only
-// when every dependency it was measured against is unchanged in the
-// merged report: a dependency inside the closure must carry the same
-// options digest as before (probes are deterministic, so an equal
-// digest means an identical output whether it ran or was restored),
-// and a dependency outside the closure must itself have been carried.
-// Stale leftovers are dropped from the entry — their provenance rows
-// disappear, so a later run re-measures them.
-func (s *Session) carryLeftovers(rep, cached *Report, closure []string, digests map[string]string) error {
-	inClosure := make(map[string]bool, len(closure))
-	for _, name := range closure {
-		inClosure[name] = true
-	}
-	carried := map[string]bool{}
-	for _, name := range core.ProbeNames() { // canonical, hence topological
-		if inClosure[name] {
-			continue
-		}
-		prov := cached.ProvenanceFor(name)
-		if prov == nil {
-			continue
-		}
-		deps, err := core.ProbeDeps(name)
-		if err != nil {
-			return err
-		}
-		consistent := true
-		for _, d := range deps {
-			if inClosure[d] {
-				dprov := cached.ProvenanceFor(d)
-				consistent = dprov != nil && dprov.OptionsDigest == digests[d]
-			} else {
-				consistent = carried[d]
-			}
-			if !consistent {
-				break
-			}
-		}
-		if !consistent {
-			continue
-		}
-		part, ok := core.Restore(name, cached)
-		if !ok {
-			continue
-		}
-		if part.Apply != nil {
-			part.Apply(rep)
-		}
-		carried[name] = true
-		rep.Timings = append(rep.Timings, report.StageTiming{
-			Stage:          name,
-			SimulatedProbe: part.SimulatedProbe,
-		})
-		rep.Provenance = append(rep.Provenance, report.ProbeProvenance{
-			Probe:         name,
-			Status:        report.ProvenanceCached,
-			OptionsDigest: prov.OptionsDigest,
-			Timestamp:     prov.Timestamp,
-			Wall:          prov.Wall,
-		})
-	}
-	if len(carried) > 0 {
-		sortByCanonicalOrder(rep)
-	}
-	return nil
-}
-
-// sortByCanonicalOrder restores the canonical probe order of the
-// timing and provenance rows after leftover sections were appended.
-func sortByCanonicalOrder(rep *Report) {
-	order := make(map[string]int)
-	for i, name := range core.ProbeNames() {
-		order[name] = i
-	}
-	sort.SliceStable(rep.Timings, func(i, j int) bool {
-		return order[rep.Timings[i].Stage] < order[rep.Timings[j].Stage]
-	})
-	sort.SliceStable(rep.Provenance, func(i, j int) bool {
-		return order[rep.Provenance[i].Probe] < order[rep.Provenance[j].Probe]
-	})
 }
 
 // DetectCaches runs only the cache-size benchmark on core 0

@@ -399,7 +399,7 @@ func TestFileCacheCorruptIsMiss(t *testing.T) {
 
 // TestSessionMatchesCore: the public calls are thin layers over the
 // internal/core operations and return byte-identical results —
-// Session.Run (full suite and a subset) against Suite.RunProbes,
+// Session.Run (full suite and a subset) against Suite.Run,
 // Session.DetectCaches against core.DetectCaches at core 0,
 // CalibrateCores against per-core core.Mcalibrator calls, and
 // Session.DetectTLB against core.DetectTLB.
@@ -417,7 +417,7 @@ func TestSessionMatchesCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := suite.RunProbes(ctx, probes...)
+		want, err := suite.Run(ctx, nil, probes...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,7 +425,7 @@ func TestSessionMatchesCore(t *testing.T) {
 		// report; measuredJSON drops the provenance rows.
 		want.Schema, want.Fingerprint = got.Schema, got.Fingerprint
 		if measuredJSON(t, got) != measuredJSON(t, want) {
-			t.Errorf("Session.Run(%v) diverges from Suite.RunProbes", probes)
+			t.Errorf("Session.Run(%v) diverges from Suite.Run", probes)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -187,5 +188,47 @@ func TestContextReachesExperimentsAndSingleOps(t *testing.T) {
 	}
 	if _, err := experiments.Run(cancelled, "fig2a", experiments.Opt{Seed: 1, Quick: true}); !errors.Is(err, context.Canceled) {
 		t.Errorf("experiments.Run err = %v, want context.Canceled", err)
+	}
+}
+
+// TestWarmSubsetRunCounters pins the cache counters of a warm subset
+// re-run: cache.probe.restored counts the requested closure's restored
+// probes only, not the leftovers carried along from the cache entry,
+// and cache.probe.ran counts the probes measured now.
+func TestWarmSubsetRunCounters(t *testing.T) {
+	cache := servet.NewMemoryCache()
+	s, err := servet.NewSession(servet.Dempsey(), append(traceSessionOpts(1), servet.WithCache(cache))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	tracer := obs.New()
+	rep, err := s.Run(obs.WithTracer(context.Background(), tracer), "shared-caches", "tlb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closure cache-size, shared-caches (restored) and tlb (ran);
+	// memory-overhead and communication-costs ride along carried.
+	want := map[string]string{
+		"cache-size":          servet.ProvenanceCached,
+		"shared-caches":       servet.ProvenanceCached,
+		"memory-overhead":     servet.ProvenanceCached,
+		"communication-costs": servet.ProvenanceCached,
+		"tlb":                 servet.ProvenanceRan,
+	}
+	if got := statuses(rep); !reflect.DeepEqual(got, want) {
+		t.Errorf("provenance = %v, want %v", got, want)
+	}
+	if got := tracer.Counter(obs.CounterProbesRestored); got != 2 {
+		t.Errorf("%s = %d, want 2", obs.CounterProbesRestored, got)
+	}
+	if got := tracer.Counter(obs.CounterProbesRan); got != 1 {
+		t.Errorf("%s = %d, want 1", obs.CounterProbesRan, got)
+	}
+	if got := tracer.Counter(obs.CounterCacheHit); got != 1 {
+		t.Errorf("%s = %d, want 1", obs.CounterCacheHit, got)
 	}
 }
