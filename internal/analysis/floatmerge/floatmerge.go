@@ -1,11 +1,10 @@
 // Package floatmerge flags floating-point accumulation into captured
 // variables inside concurrently executed closures: `go func` literals
-// and sched closures (sched.Task Run fields and function literals
-// handed to servet/internal/sched entry points, such as the fn of
-// sched.Each). Two workers adding into one float64 is a data race,
-// and even under a mutex the sum depends on completion order because
-// float addition is not associative — the result differs run to run
-// and across parallelism levels.
+// and function literals handed to servet/internal/sched entry points,
+// such as the fn of sched.Each. Two workers adding into one float64
+// is a data race, and even under a mutex the sum depends on completion
+// order because float addition is not associative — the result
+// differs run to run and across parallelism levels.
 //
 // The suite's discipline is the sweep idiom of sched.Each: the
 // closure for index i writes its measurement into slot i of a shared
@@ -37,8 +36,6 @@ func run(pass *analysis.Pass) error {
 				if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
 					checkClosure(pass, lit, "go statement")
 				}
-			case *ast.CompositeLit:
-				checkTaskLit(pass, st)
 			case *ast.CallExpr:
 				checkSchedCall(pass, st)
 			}
@@ -46,27 +43,6 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
-}
-
-// checkTaskLit inspects sched.Task composite literals for Run-field
-// closures.
-func checkTaskLit(pass *analysis.Pass, lit *ast.CompositeLit) {
-	t := pass.TypesInfo.Types[lit].Type
-	if t == nil || !analysis.IsNamedType(t, "servet/internal/sched", "Task") {
-		return
-	}
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Run" {
-			continue
-		}
-		if fl, ok := ast.Unparen(kv.Value).(*ast.FuncLit); ok {
-			checkClosure(pass, fl, "sched.Task closure")
-		}
-	}
 }
 
 // checkSchedCall inspects function literals handed directly to

@@ -1,30 +1,8 @@
 // Package sched is a fixture stub of servet/internal/sched: just
-// enough surface for floatmerge's Task and entry-point checks.
+// enough surface for floatmerge's entry-point checks.
 package sched
 
 import "context"
-
-// Task is one unit of work.
-type Task struct {
-	Name string
-	Deps []string
-	Run  func(ctx context.Context) error
-}
-
-// Result is the outcome of one task.
-type Result struct {
-	Name string
-}
-
-// Run executes the tasks.
-func Run(ctx context.Context, tasks []Task, parallelism int) ([]Result, error) {
-	for _, t := range tasks {
-		if err := t.Run(ctx); err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
 
 // Each calls fn for every index (the parallel-for entry point).
 func Each(ctx context.Context, name string, n, parallelism int, fn func(ctx context.Context, w, i int) error) error {

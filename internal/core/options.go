@@ -67,8 +67,8 @@ type Options struct {
 	// single probe size. Empty means [message size].
 	LayerSizes []int64
 	// Parallelism bounds how many tasks each fan-out level runs
-	// concurrently (default 1: the paper's sequential stage order).
-	// One knob governs every level: independent probes of one run,
+	// concurrently (default 1: one probe, one measurement at a time).
+	// One knob governs every level: the probes of one dependency wave,
 	// and the sharded measurements inside a probe (the
 	// communication-costs, shared-cache and memory-overhead pair
 	// sweeps, the per-layer micro-benchmarks, the per-core

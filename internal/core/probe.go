@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"servet/internal/report"
@@ -12,11 +11,12 @@ import (
 )
 
 // Probe is one benchmark of the suite. Probes declare the probes
-// they depend on by name; the engine runs them over the dependency DAG
-// (concurrently when Options.Parallelism allows) and merges their
-// Partials into the final report in table order, so the assembled
-// report does not depend on completion order. The unexported methods
-// keep the set closed: the probe table below is the whole suite.
+// they depend on by name; the engine runs them in dependency waves
+// (concurrently within a wave when Options.Parallelism allows) and
+// merges their Partials into the final report in table order, so the
+// assembled report does not depend on completion order. The
+// unexported methods keep the set closed: the probe table below is
+// the whole suite.
 type Probe interface {
 	// Name identifies the probe ("cache-size", ...). Names are unique
 	// across the table.
@@ -65,30 +65,21 @@ type Env struct {
 	// Opt holds the effective (default-filled) options.
 	Opt Options
 
-	mu   sync.Mutex
-	outs map[string]Partial
+	// outs holds completed probes' Partials by table position: each
+	// slot is written once, by its probe's worker or before the first
+	// wave for a restored probe.
+	outs []*Partial
 }
 
-func newEnv(m *topology.Machine, opt Options) *Env {
-	return &Env{Machine: m, Opt: opt, outs: make(map[string]Partial)}
-}
-
-func (e *Env) put(name string, p Partial) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.outs[name] = p
-}
-
-// Output returns the Partial of a probe that has completed. Only
-// reads of probes named in the caller's Deps are reliable: the
-// scheduler guarantees those completed first, while anything else may
-// or may not have finished depending on scheduling, so its presence
-// here is timing-dependent.
+// Output returns the Partial of a completed probe the caller names in
+// its Deps. Those finished in an earlier wave; any other probe may
+// still be running in the caller's wave, so reading it is a race.
 func (e *Env) Output(name string) (Partial, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	p, ok := e.outs[name]
-	return p, ok
+	i := probeIndex(name)
+	if i < 0 || e.outs[i] == nil {
+		return Partial{}, false
+	}
+	return *e.outs[i], true
 }
 
 // CacheLevels returns the cache levels detected by the cache-size

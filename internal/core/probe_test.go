@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"servet/internal/obs"
 	"servet/internal/report"
 	"servet/internal/topology"
 )
@@ -179,31 +180,56 @@ func TestRunProbesTLB(t *testing.T) {
 }
 
 // TestRunProbesNoCacheLevelsTypedError: a probe range that ends below
-// the smallest cache produces a typed *NoCacheLevelsError through the
-// DAG — and the dependent communication-costs probe never indexes
-// into the empty level slice.
+// the smallest cache produces a typed *NoCacheLevelsError from the
+// first wave, and the dependents shared-caches and communication-costs
+// never start (so never index into the empty level slice). With tlb
+// requested too it runs in cache-size's wave, and the error still
+// names cache-size.
 func TestRunProbesNoCacheLevelsTypedError(t *testing.T) {
 	opt := Options{Seed: 1, MinCacheBytes: 4 * topology.KB, MaxCacheBytes: 8 * topology.KB}
-	for _, parallelism := range []int{1, 4} {
-		opt.Parallelism = parallelism
+	for _, c := range []struct {
+		parallelism int
+		names       []string
+	}{
+		{1, nil},
+		{4, nil},
+		{2, []string{"shared-caches", "tlb"}},
+	} {
+		opt.Parallelism = c.parallelism
 		s, err := NewSuite(topology.Dempsey(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = s.Run(context.Background(), nil)
+		tracer := obs.New()
+		_, err = s.Run(obs.WithTracer(context.Background(), tracer), nil, c.names...)
 		var pe *ProbeError
 		if !errors.As(err, &pe) || pe.Probe != "cache-size" {
-			t.Fatalf("parallelism %d: err = %v, want ProbeError{cache-size}", parallelism, err)
+			t.Fatalf("parallelism %d %v: err = %v, want ProbeError{cache-size}", c.parallelism, c.names, err)
 		}
 		var ne *NoCacheLevelsError
 		if !errors.As(err, &ne) || ne.Machine != "dempsey" {
-			t.Fatalf("parallelism %d: err = %v, want NoCacheLevelsError", parallelism, err)
+			t.Fatalf("parallelism %d %v: err = %v, want NoCacheLevelsError", c.parallelism, c.names, err)
+		}
+		counts := tracer.SpanCounts()
+		for _, dep := range []string{"shared-caches", "communication-costs"} {
+			if n := counts["probe/"+dep]; n != 0 {
+				t.Errorf("parallelism %d %v: dependent %s started %d times after cache-size failed", c.parallelism, c.names, dep, n)
+			}
+		}
+		if counts["probe/cache-size"] != 1 {
+			t.Errorf("parallelism %d %v: spans %v, want one probe/cache-size", c.parallelism, c.names, counts)
 		}
 	}
 }
 
+// TestRunProbesCancelledContext: a cancelled run fails, also when
+// every probe would be restored and nothing is left to execute.
 func TestRunProbesCancelledContext(t *testing.T) {
 	s, err := NewSuite(topology.Dempsey(), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := s.Run(context.Background(), nil, "cache-size")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +237,9 @@ func TestRunProbesCancelledContext(t *testing.T) {
 	cancel()
 	if _, err := s.Run(ctx, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
+	}
+	if _, err := s.Run(ctx, warm, "cache-size"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("fully restored run: err = %v", err)
 	}
 }
 

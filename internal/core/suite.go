@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -14,7 +13,7 @@ import (
 
 // Suite runs Servet probes on a machine and assembles the
 // install-time report. Probes come from the package's probe table; the
-// engine schedules them over their dependency DAG, concurrently when
+// engine runs them in dependency waves, each wave concurrently when
 // Options.Parallelism allows, and merges their results in table order
 // so the report is identical regardless of completion order.
 type Suite struct {
@@ -70,9 +69,10 @@ func (s *Suite) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration
 
 // Run executes the named probes plus their transitive dependencies
 // (no names means DefaultProbes) and merges the results into one
-// report. Independent probes run concurrently up to
-// Options.Parallelism; a probe failure is returned as a *ProbeError
-// and cancelling the context aborts the run.
+// report. Probes run in dependency waves, a wave's probes concurrently
+// up to Options.Parallelism. A probe failure ends the run after its
+// wave and is returned as a *ProbeError (the earliest in table order
+// when several probes fail); cancelling the context aborts the run.
 //
 // cached, when non-nil, is a previously saved report of the same
 // machine. In one pass over the probe table (see plan) each probe of
@@ -91,57 +91,62 @@ func (s *Suite) Run(ctx context.Context, cached *report.Report, names ...string)
 		return nil, err
 	}
 
-	env := newEnv(s.m, s.opt)
-	// Probe spans record into the context's tracer (nil when the run
-	// is untraced): one "probe" span per executed probe, so a trace
-	// shows which stages dominated the run.
-	tr := obs.FromContext(ctx)
-	var tasks []sched.Task
-	taskIdx := make([]int, len(steps))
-	restored := 0
+	env := &Env{Machine: s.m, Opt: s.opt, outs: make([]*Partial, len(probes))}
+	// A probe that runs goes in the wave after the latest of its
+	// dependencies that run too; restored dependencies are done before
+	// the first wave. Table order is topological, so one pass does it.
+	wave := make([]int, len(probes))
+	var waves [][]int
+	restored, ran := 0, 0
 	for i, st := range steps {
-		p := probes[i]
 		switch st.act {
 		case actRestore:
-			env.put(p.Name(), st.part)
+			env.outs[i] = &steps[i].part
 			restored++
 		case actRun:
-			// Restored dependencies are already satisfied; the scheduler
-			// only needs the edges between probes that actually run.
-			var deps []string
-			for _, d := range p.Deps() {
-				if steps[probeIndex(d)].act == actRun {
-					deps = append(deps, d)
+			for _, d := range probes[i].Deps() {
+				if j := probeIndex(d); steps[j].act == actRun {
+					wave[i] = max(wave[i], wave[j]+1)
 				}
 			}
-			taskIdx[i] = len(tasks)
-			tasks = append(tasks, sched.Task{
-				Name: p.Name(),
-				Deps: deps,
-				Run: func(ctx context.Context) error {
-					sp := tr.Start("probe", p.Name())
-					part, err := p.Run(ctx, env)
-					sp.End()
-					if err != nil {
-						return err
-					}
-					env.put(p.Name(), part)
-					return nil
-				},
-			})
+			if wave[i] == len(waves) {
+				waves = append(waves, nil)
+			}
+			waves[wave[i]] = append(waves[wave[i]], i)
+			ran++
 		}
 	}
 
-	results, err := sched.Run(ctx, tasks, s.opt.Parallelism)
-	if err != nil {
-		var te *sched.TaskError
-		if errors.As(err, &te) {
-			return nil, &ProbeError{Probe: te.Name, Err: te.Err}
-		}
+	// A cancelled run fails even when nothing is left to execute.
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Probe spans record into the context's tracer (nil when the run
+	// is untraced): one "probe" span per executed probe, so a trace
+	// shows which stages dominated the run. A failed wave ends the
+	// run, so dependents of a failed probe never start.
+	tr := obs.FromContext(ctx)
+	walls := make([]time.Duration, len(probes))
+	for _, w := range waves {
+		err := sched.Each(ctx, "probes", len(w), s.opt.Parallelism, func(ctx context.Context, _, k int) error {
+			i := w[k]
+			sp := tr.Start("probe", probes[i].Name())
+			defer sp.End()
+			t0 := time.Now() //servet:wallclock — probe wall-time provenance (report Timings), never a measurement input
+			part, err := probes[i].Run(ctx, env)
+			walls[i] = time.Since(t0) //servet:wallclock
+			if err != nil {
+				return &ProbeError{Probe: probes[i].Name(), Err: err}
+			}
+			env.outs[i] = &part
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
 	tr.Count(obs.CounterProbesRestored, int64(restored))
-	tr.Count(obs.CounterProbesRan, int64(len(tasks)))
+	tr.Count(obs.CounterProbesRan, int64(ran))
 
 	r := &report.Report{
 		Machine:      s.m.Name,
@@ -157,8 +162,7 @@ func (s *Suite) Run(ctx context.Context, cached *report.Report, names ...string)
 		// wall time; their provenance keeps the original cost.
 		part, row, wall := st.part, st.row, time.Duration(0)
 		if st.act == actRun {
-			part, _ = env.Output(row.Probe)
-			wall = results[taskIdx[i]].Wall
+			part, wall = *env.outs[i], walls[i]
 			row.Wall = wall
 		}
 		if part.Apply != nil {

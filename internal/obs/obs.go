@@ -1,6 +1,6 @@
 // Package obs is the suite's zero-perturbation observability layer: a
 // stdlib-only tracer that records spans (probe runs, sweep workers,
-// scheduler task lifecycles, tune rounds) and named counters (cache
+// scheduler workers, tune rounds) and named counters (cache
 // hits, pooled-instance resets, objective evaluations) as the engine
 // runs. It exists to answer "where did the time go" — which probes
 // dominated a report, how sweeps spread over their workers,
@@ -71,7 +71,7 @@ type SpanRecord struct {
 	// "sched", "tune", "cache".
 	Cat string
 	// Name identifies the work within the category (probe name, sweep
-	// name, sched task name, ...).
+	// name, sched "<fan-out>:<worker>", ...).
 	Name string
 	// Lane is the span's track within the category: the lowest lane
 	// free when it started, so concurrent spans of one category render

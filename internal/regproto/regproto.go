@@ -164,8 +164,9 @@ type TuneRequest struct {
 
 // Stats are the registry's run counters.
 type Stats struct {
-	// RunSessions counts engine sessions executed by POST runs
-	// (coalesced requests share one).
+	// RunSessions counts engine sessions run for POST /v1/run and
+	// POST /v1/tune requests: a tune resolves its report as a run
+	// does (coalesced requests share one session).
 	RunSessions int64 `json:"run_sessions"`
 	// RunsCoalesced counts POST-run requests that piggybacked on an
 	// in-flight identical run instead of starting their own.

@@ -1,8 +1,15 @@
+// Package sched is the engine's one way to fan out work: Each, a
+// parallel-for whose workers pull indices from a shared counter and
+// write into disjoint slots. Every fan-out runs on it — the core
+// measurement sweeps, the probe table's dependency waves, tune
+// batches, servet.Sweep and the experiment fan-out — so output
+// assembly is deterministic regardless of completion order.
 package sched
 
 import (
 	"cmp"
 	"context"
+	"errors"
 	"slices"
 	"strconv"
 	"sync"
@@ -35,9 +42,9 @@ func Workers(n, parallelism int) int {
 //
 // The context is checked before every index. After the first failure
 // no worker takes a new index, and the context fn sees is cancelled.
-// The returned error is fn's own, unwrapped, chosen as Run chooses:
-// the earliest-index failure that is not a cancellation, else the
-// caller's ctx.Err(), else the earliest cancellation.
+// The returned error is fn's own, unwrapped: the earliest-index
+// failure that is not a cancellation, else the caller's ctx.Err(),
+// else the earliest cancellation (see rootCause).
 //
 // Each worker records one "sched" span named "<name>:<w>" into the
 // context's tracer.
@@ -87,6 +94,35 @@ func Each(ctx context.Context, name string, n, parallelism int, fn func(ctx cont
 		wg.Wait()
 	}
 	slices.SortFunc(fails, func(a, b failure) int { return cmp.Compare(a.i, b.i) })
-	_, err := rootCause(ctx, workers, func(k int) error { return fails[k].err })
-	return err
+	return rootCause(ctx, workers, func(k int) error { return fails[k].err })
+}
+
+// rootCause picks the error that explains a fan-out over n indexed
+// units, whose failures errAt reports in index order (nil for units
+// that succeeded or never ran). When a unit fails, the fan-out
+// cancels its shared context and in-flight ctx-honoring units come
+// back with context.Canceled — those are consequences, as is any
+// failure caused by the caller cancelling ctx. So the root cause is
+// the earliest failure that is not a cancellation; failing that, the
+// caller's ctx.Err(); failing that, the earliest cancellation-shaped
+// failure.
+func rootCause(ctx context.Context, n int, errAt func(i int) error) error {
+	var firstCancelled error
+	for i := 0; i < n; i++ {
+		err := errAt(i)
+		if err == nil {
+			continue
+		}
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if firstCancelled == nil {
+				firstCancelled = err
+			}
+			continue
+		}
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return firstCancelled
 }

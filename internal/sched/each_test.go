@@ -108,8 +108,8 @@ func TestEachWorkerNumbers(t *testing.T) {
 	}
 }
 
-// TestEachReturnsPlainError: fn's own error comes back unwrapped, not
-// as a *TaskError.
+// TestEachReturnsPlainError: fn's own error comes back unwrapped, so
+// callers choose its type.
 func TestEachReturnsPlainError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, par := range []int{1, 4} {
@@ -127,18 +127,28 @@ func TestEachReturnsPlainError(t *testing.T) {
 
 // TestEachRootCauseNotMaskedByCasualty: a failure at a high index is
 // reported even though a lower index came back cancelled — a casualty
-// of the abort the failure caused.
+// of the abort the failure caused. When the lower index fails for a
+// reason of its own after the higher one, the lower index wins: the
+// choice follows index order, not completion order.
 func TestEachRootCauseNotMaskedByCasualty(t *testing.T) {
-	boom := errors.New("boom")
-	err := Each(context.Background(), "t", 2, 2, func(ctx context.Context, _, i int) error {
-		if i == 0 {
-			<-ctx.Done() // released only by index 1's failure
-			return fmt.Errorf("index 0: %w", ctx.Err())
+	boom, own := errors.New("boom"), errors.New("index 0 failed")
+	for _, c := range []struct {
+		index0 func(ctx context.Context) error
+		want   error
+	}{
+		{func(ctx context.Context) error { return fmt.Errorf("index 0: %w", ctx.Err()) }, boom},
+		{func(context.Context) error { return own }, own},
+	} {
+		err := Each(context.Background(), "t", 2, 2, func(ctx context.Context, _, i int) error {
+			if i == 0 {
+				<-ctx.Done() // released only by index 1's failure
+				return c.index0(ctx)
+			}
+			return boom
+		})
+		if err != c.want {
+			t.Errorf("err = %v, want the root cause %v", err, c.want)
 		}
-		return boom
-	})
-	if err != boom {
-		t.Errorf("err = %v, want the root cause %v", err, boom)
 	}
 }
 

@@ -226,7 +226,7 @@ func (reg *Registry) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE servet_http_in_flight_requests gauge")
 	fmt.Fprintf(w, "servet_http_in_flight_requests %d\n", m.inFlight.Load())
 
-	fmt.Fprintln(w, "# HELP servet_run_sessions_total Engine sessions executed by POST runs.")
+	fmt.Fprintln(w, "# HELP servet_run_sessions_total Engine sessions run for POST /v1/run and /v1/tune requests.")
 	fmt.Fprintln(w, "# TYPE servet_run_sessions_total counter")
 	fmt.Fprintf(w, "servet_run_sessions_total %d\n", reg.runSessions.Load())
 	fmt.Fprintln(w, "# HELP servet_runs_coalesced_total Run requests that piggybacked on an identical in-flight run.")

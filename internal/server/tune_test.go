@@ -258,3 +258,26 @@ func TestTuneStatsInStatsEndpoint(t *testing.T) {
 		t.Errorf("stats after one tune = %+v", st)
 	}
 }
+
+// TestTuneCountsAsRunSession: a tune resolves its report through the
+// same path as POST /v1/run, so RunSessions counts both — one run,
+// then a tune over the same run request, is two sessions (the tune's
+// fully restored, measuring nothing).
+func TestTuneCountsAsRunSession(t *testing.T) {
+	reg, ts := newTestRegistry(t)
+	resp, err := http.Post(ts.URL+regproto.RunPath, "application/json",
+		strings.NewReader(`{"machine":"dempsey","quick":true,"probes":["cache-size"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run status = %d", resp.StatusCode)
+	}
+	if res, resp := postTune(t, ts.URL, tuneBody); res == nil {
+		t.Fatalf("tune status %d", resp.StatusCode)
+	}
+	if st := reg.Stats(); st.RunSessions != 2 || st.ProbesExecuted != 1 {
+		t.Errorf("stats after a run and a tune = %+v, want 2 run sessions and 1 probe executed", st)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"servet/internal/autotune"
 	"servet/internal/memsys"
@@ -69,33 +68,19 @@ type ObjectiveSpec struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
-// objective registry, populated at init time and read-only
-// afterwards; the mutex guards tests that register scratch
-// objectives.
-var (
-	objMu       sync.RWMutex
-	objBuilders = map[string]func(params json.RawMessage) (Objective, error){}
-)
-
-// RegisterObjective adds a named objective builder. Registering a
-// duplicate name panics: names are the wire vocabulary.
-func RegisterObjective(name string, build func(params json.RawMessage) (Objective, error)) {
-	objMu.Lock()
-	defer objMu.Unlock()
-	if name == "" {
-		panic("tune: objective with empty name")
-	}
-	if _, dup := objBuilders[name]; dup {
-		panic(fmt.Sprintf("tune: duplicate objective %q", name))
-	}
-	objBuilders[name] = build
+// objBuilders is the objective registry: the wire vocabulary of
+// ObjectiveSpec names, fixed at compile time.
+var objBuilders = map[string]func(params json.RawMessage) (Objective, error){
+	ObjectiveBcastModel:       newBcastModel,
+	ObjectiveBcastSim:         newBcastSim,
+	ObjectiveAggregationModel: newAggregationModel,
+	ObjectiveTiledKernel:      newTiledKernel,
+	ObjectiveConcurrencyModel: newConcurrencyModel,
 }
 
 // NewObjective resolves a spec against the registry.
 func NewObjective(spec ObjectiveSpec) (Objective, error) {
-	objMu.RLock()
 	build, ok := objBuilders[spec.Name]
-	objMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("tune: unknown objective %q (have %v)", spec.Name, ObjectiveNames())
 	}
@@ -106,10 +91,8 @@ func NewObjective(spec ObjectiveSpec) (Objective, error) {
 	return obj, nil
 }
 
-// ObjectiveNames lists the registered objectives.
+// ObjectiveNames lists the registered objectives, sorted.
 func ObjectiveNames() []string {
-	objMu.RLock()
-	defer objMu.RUnlock()
 	names := make([]string, 0, len(objBuilders))
 	for n := range objBuilders {
 		names = append(names, n)
@@ -172,14 +155,6 @@ const (
 	// axis "cores").
 	ObjectiveConcurrencyModel = "concurrency-model"
 )
-
-func init() {
-	RegisterObjective(ObjectiveBcastModel, newBcastModel)
-	RegisterObjective(ObjectiveBcastSim, newBcastSim)
-	RegisterObjective(ObjectiveAggregationModel, newAggregationModel)
-	RegisterObjective(ObjectiveTiledKernel, newTiledKernel)
-	RegisterObjective(ObjectiveConcurrencyModel, newConcurrencyModel)
-}
 
 // bcastModel predicts the makespan (µs) of broadcasting Bytes to
 // Ranks over the named layer, for the algorithm the "algorithm" axis

@@ -407,19 +407,14 @@ func TestTuneArgumentValidation(t *testing.T) {
 
 func TestObjectiveRegistry(t *testing.T) {
 	names := ObjectiveNames()
-	for _, want := range []string{ObjectiveBcastModel, ObjectiveBcastSim, ObjectiveAggregationModel, ObjectiveTiledKernel, ObjectiveConcurrencyModel} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("built-in objective %q not registered (have %v)", want, names)
-		}
+	want := []string{ObjectiveAggregationModel, ObjectiveBcastModel, ObjectiveBcastSim, ObjectiveConcurrencyModel, ObjectiveTiledKernel}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("ObjectiveNames() = %v, want the sorted built-ins %v", names, want)
 	}
-	if _, err := NewObjective(ObjectiveSpec{Name: "unknown"}); err == nil {
-		t.Error("unknown objective accepted")
+	_, err := NewObjective(ObjectiveSpec{Name: "unknown"})
+	const wantErr = `tune: unknown objective "unknown" (have [aggregation-model bcast-model bcast-sim concurrency-model tiled-kernel])`
+	if err == nil || err.Error() != wantErr {
+		t.Errorf("unknown objective: err = %v, want %s", err, wantErr)
 	}
 	if _, err := NewObjective(ObjectiveSpec{Name: ObjectiveBcastModel, Params: json.RawMessage(`{"ranks": 8, "bytes": 1024, "typo": 1}`)}); err == nil {
 		t.Error("unknown params field accepted")

@@ -54,8 +54,8 @@ func WithNoise(sigma float64) Option {
 	return func(c *sessionConfig) { c.opt.NoiseSigma = sigma }
 }
 
-// WithParallelism bounds how many tasks run concurrently: independent
-// probes of one run, the sharded measurements inside the
+// WithParallelism bounds how many tasks run concurrently: the probes
+// of one dependency wave, the sharded measurements inside the
 // communication-costs probe and CalibrateCores, and how many machines
 // Sweep probes at once. Reports are byte-identical at any
 // parallelism; only wall times change.
