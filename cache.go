@@ -1,7 +1,6 @@
 package servet
 
 import (
-	"fmt"
 	"sync"
 
 	"servet/internal/report"
@@ -19,48 +18,34 @@ type Cache interface {
 	// Lookup returns the saved report for a machine fingerprint, or
 	// ok=false on a miss. A corrupt or unreadable entry is a miss, not
 	// an error: the session then simply measures everything. The
-	// returned report is owned by the caller: implementations must
-	// hand out a private copy (a deep clone or a freshly loaded one),
-	// never a pointer shared with the cache entry, so no caller
-	// mutation can corrupt the cache.
+	// returned report is owned by the caller: implementations decode
+	// a fresh one from the stored entry (or otherwise hand out a
+	// private copy), never a pointer shared with the cache, so no
+	// caller mutation can corrupt the cache.
 	Lookup(fingerprint string) (r *Report, ok bool)
 	// Store saves the report (which carries the fingerprint, schema and
-	// provenance) as the new cache entry for the fingerprint.
+	// provenance) as the new cache entry for the fingerprint. A report
+	// whose own fingerprint differs from the key must never be served
+	// for that key: the fingerprint-keyed caches refuse it with a
+	// *FingerprintMismatchError.
 	Store(fingerprint string, r *Report) error
 }
 
+// entryCache is the one Cache over the report store's entries:
+// Lookup decodes a fresh report from the entry's bytes, Store encodes
+// the report once and refuses a key that is not its fingerprint.
+// MemoryCache and DirCache embed it for their Lookup and Store.
+type entryCache = report.Cache
+
 // MemoryCache is an in-process Cache holding one report per machine
-// fingerprint. The zero value is not usable; call NewMemoryCache.
-type MemoryCache struct {
-	mu sync.RWMutex
-	m  map[string]*Report
-}
+// fingerprint as its compact JSON: Store encodes the report once,
+// Lookup decodes a fresh report from bytes that never change. The
+// zero value is not usable; call NewMemoryCache.
+type MemoryCache struct{ entryCache }
 
 // NewMemoryCache returns an empty in-memory cache.
 func NewMemoryCache() *MemoryCache {
-	return &MemoryCache{m: make(map[string]*Report)}
-}
-
-// Lookup implements Cache. The returned report is a deep copy, so
-// caller mutations never reach the cached entry.
-func (c *MemoryCache) Lookup(fingerprint string) (*Report, bool) {
-	c.mu.RLock()
-	r, ok := c.m[fingerprint]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return r.Clone(), true
-}
-
-// Store implements Cache. The report is deep-copied, so later caller
-// mutations do not reach the cache.
-func (c *MemoryCache) Store(fingerprint string, r *Report) error {
-	cp := r.Clone()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[fingerprint] = cp
-	return nil
+	return &MemoryCache{entryCache{Entries: report.NewMem()}}
 }
 
 // FileCache is a Cache backed by one install-time JSON report file —
@@ -113,20 +98,11 @@ func (c *FileCache) Store(fingerprint string, r *Report) error {
 	return r.Save(c.path)
 }
 
-// FingerprintMismatchError reports a FileCache.Store that would have
-// replaced the install-time file of a different machine. It typically
-// means several machine models were pointed at one WithCacheFile path;
+// FingerprintMismatchError reports a Cache.Store refused because it
+// would file one machine's report under another machine's key: the
+// report's fingerprint disagrees with the key (MemoryCache, DirCache),
+// or the FileCache file already holds another machine's report —
+// typically several machine models pointed at one WithCacheFile path;
 // give each model its own file, or share a fingerprint-keyed cache
 // (e.g. MemoryCache) instead.
-type FingerprintMismatchError struct {
-	// Path is the backing file that was protected.
-	Path string
-	// Have is the fingerprint of the report currently in the file.
-	Have string
-	// Want is the fingerprint the refused Store carried.
-	Want string
-}
-
-func (e *FingerprintMismatchError) Error() string {
-	return fmt.Sprintf("cache file %s holds report for machine %s, refusing to overwrite with %s (use one cache file per machine)", e.Path, e.Have, e.Want)
-}
+type FingerprintMismatchError = report.FingerprintMismatchError

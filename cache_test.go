@@ -112,3 +112,34 @@ func TestFileCacheStoreRepairsCorruptFile(t *testing.T) {
 		t.Error("repaired entry unreadable")
 	}
 }
+
+// TestCacheStoreFingerprintMismatch: the fingerprint-keyed local
+// caches file a report only under its own fingerprint. A Store under
+// another key fails typed — the same *FingerprintMismatchError
+// FileCache and RemoteCache return — and leaves both keys empty, so a
+// later Lookup never hands a session another machine's sections.
+func TestCacheStoreFingerprintMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cache servet.Cache
+	}{
+		{"memory", servet.NewMemoryCache()},
+		{"directory", servet.NewDirCache(t.TempDir())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cache.Store("sha256:machine-a", sampleReport("sha256:machine-b", 16<<10))
+			var fe *servet.FingerprintMismatchError
+			if !errors.As(err, &fe) {
+				t.Fatalf("err = %v, want *FingerprintMismatchError", err)
+			}
+			if fe.Have != "sha256:machine-b" || fe.Want != "sha256:machine-a" {
+				t.Errorf("error fields = %+v", fe)
+			}
+			for _, fp := range []string{"sha256:machine-a", "sha256:machine-b"} {
+				if r, ok := tc.cache.Lookup(fp); ok {
+					t.Errorf("refused store left an entry under %s: %+v", fp, r)
+				}
+			}
+		})
+	}
+}

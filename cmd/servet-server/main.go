@@ -54,6 +54,7 @@ import (
 	"syscall"
 	"time"
 
+	"servet/internal/report"
 	"servet/internal/server"
 )
 
@@ -119,7 +120,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var store server.Store = server.NewMemStore()
+	var store report.Store = server.NewMemStore()
 	kind := "in-memory"
 	if *storeDir != "" {
 		store = server.NewDirStore(*storeDir)

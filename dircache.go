@@ -8,7 +8,8 @@ import (
 // JSON report files: each machine's install-time report lives in its
 // own file named after its fingerprint, so one directory serves a
 // whole heterogeneous Sweep — unlike FileCache, which holds a single
-// machine's report and refuses to store another's.
+// machine's report and refuses to store another's. Entries are per
+// machine, so a store can never clobber another machine's file.
 //
 // The layout is shared with the probe-registry server's directory
 // store (cmd/servet-server -store): point the server at a sweep's
@@ -16,33 +17,18 @@ import (
 // entries the server stores are directly usable as install-time
 // parameter files.
 type DirCache struct {
-	dir report.Dir
+	entryCache
+	path string
 }
 
 // NewDirCache returns a cache over the directory at path. The
-// directory need not exist yet; the first Store creates it.
+// directory need not exist yet; the first Store creates it. Lookup
+// reads the fingerprint's entry file fresh on every call (a missing,
+// unreadable, schema-incompatible or mislabeled entry is a miss), and
+// Store writes the entry file atomically.
 func NewDirCache(path string) *DirCache {
-	return &DirCache{dir: report.Dir{Path: path}}
+	return &DirCache{entryCache{Entries: report.Dir{Path: path}}, path}
 }
 
 // Path returns the backing directory's path.
-func (c *DirCache) Path() string { return c.dir.Path }
-
-// Lookup implements Cache: it reads the fingerprint's entry file
-// fresh on every call, so every caller owns its copy. A missing,
-// unreadable, schema-incompatible or mislabeled entry is a miss.
-func (c *DirCache) Lookup(fingerprint string) (*Report, bool) {
-	r, err := c.dir.Load(fingerprint)
-	if err != nil {
-		return nil, false
-	}
-	return r, true
-}
-
-// Store implements Cache, writing the report atomically into the
-// fingerprint's own entry file. Entries are per machine, so a store
-// can never clobber another machine's results — the hazard FileCache
-// guards against with *FingerprintMismatchError does not exist here.
-func (c *DirCache) Store(fingerprint string, r *Report) error {
-	return c.dir.Save(r)
-}
+func (c *DirCache) Path() string { return c.path }

@@ -1,11 +1,13 @@
 // Directory layout for multi-entry report storage: one JSON report
-// file per machine fingerprint. The layout is shared by the public
-// DirCache (a probe cache for heterogeneous sweeps) and the registry
-// server's directory Store, so a server pointed at a sweep's cache
-// directory serves its reports as-is.
+// file per machine fingerprint, the directory backend of Store. The
+// public DirCache (a probe cache for heterogeneous sweeps) and the
+// registry server's -store directory both sit on it, so a server
+// pointed at a sweep's cache directory serves its reports as-is.
 package report
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,13 +15,13 @@ import (
 	"strings"
 )
 
-// Dir is a directory of per-fingerprint report files. Each entry
-// lives in its own file named after the (sanitized) fingerprint, so
-// entries for different machines never collide and a whole
-// heterogeneous sweep can share one directory.
+// Dir is the directory Store: per-fingerprint report files. Each
+// entry lives in its own file named after the (sanitized)
+// fingerprint, so entries for different machines never collide and a
+// whole heterogeneous sweep can share one directory.
 type Dir struct {
 	// Path is the directory holding the entries. It is created on the
-	// first Save.
+	// first Put.
 	Path string
 }
 
@@ -45,61 +47,60 @@ func (d Dir) EntryPath(fingerprint string) string {
 	return filepath.Join(d.Path, entryName(fingerprint))
 }
 
-// Save writes the report into the fingerprint-named entry file,
-// creating the directory on first use. The write is atomic (temp file
-// plus rename), so a concurrent Load never observes a partial entry.
-// Reports without a fingerprint have no entry name and are rejected.
-func (d Dir) Save(r *Report) error {
-	if r.Fingerprint == "" {
-		return fmt.Errorf("report: dir %s: cannot store a report without a fingerprint", d.Path)
+// Put implements Store: it writes the report into its entry file
+// byte for byte as Save would, creating the directory on first use.
+// The write is atomic (temp file plus rename), so a concurrent Get
+// never observes a partial entry.
+func (d Dir) Put(r *Report) error {
+	data, err := encode(r)
+	if err == nil {
+		data, err = Indent(data)
+	}
+	if err != nil {
+		return err
 	}
 	if err := os.MkdirAll(d.Path, 0o755); err != nil {
 		return fmt.Errorf("report: %w", err)
 	}
-	dst := d.EntryPath(r.Fingerprint)
 	tmp, err := os.CreateTemp(d.Path, entryName(r.Fingerprint)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("report: %w", err)
 	}
-	tmp.Close()
-	if err := r.Save(tmp.Name()); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	// CreateTemp makes the file 0600; entries are install-time
+	// parameter files other users' autotuners read, so widen to the
+	// mode Save uses before publishing the entry.
+	_, err = tmp.Write(data)
+	if err = errors.Join(err, tmp.Chmod(0o644), tmp.Close()); err == nil {
+		err = os.Rename(tmp.Name(), d.EntryPath(r.Fingerprint))
 	}
-	// CreateTemp makes the file 0600 and Save's WriteFile keeps the
-	// existing mode; entries are install-time parameter files other
-	// users' autotuners read, so widen to the mode Save uses for fresh
-	// files before publishing the entry.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("report: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("report: %w", err)
 	}
 	return nil
 }
 
-// Load reads the fingerprint's entry. Beyond the schema check of Load,
-// it verifies the loaded report actually carries the requested
-// fingerprint, so a renamed or hand-edited file cannot serve results
-// for the wrong machine.
-func (d Dir) Load(fingerprint string) (*Report, error) {
-	r, err := Load(d.EntryPath(fingerprint))
+// Get implements Store: it reads the entry file fresh and re-encodes
+// it canonically, so a hand-edited file (other whitespace, reordered
+// keys, unknown fields) reads back as a Put would have written it. An
+// entry that fails Load or carries another fingerprint (a renamed
+// file) is ErrNotFound, with the cause attached.
+func (d Dir) Get(fingerprint string) ([]byte, error) {
+	path := d.EntryPath(fingerprint)
+	r, err := Load(path)
+	if err == nil && r.Fingerprint != fingerprint {
+		err = fmt.Errorf("report: %s holds report for %s, want %s", path, r.Fingerprint, fingerprint)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %s: %w", ErrNotFound, fingerprint, err)
 	}
-	if r.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("report: %s holds report for %s, want %s", d.EntryPath(fingerprint), r.Fingerprint, fingerprint)
-	}
-	return r, nil
+	return json.Marshal(r)
 }
 
-// List loads every readable entry of the directory, sorted by
-// fingerprint. Unreadable, schema-incompatible or fingerprint-less
-// files are skipped, not errors: a cache directory degrades to the
-// entries that are still valid. A missing directory lists empty.
+// List implements Store. Unreadable, schema-incompatible or
+// fingerprint-less files are skipped, not errors: a cache directory
+// degrades to the entries that are still valid. A missing directory
+// lists empty.
 func (d Dir) List() ([]*Report, error) {
 	files, err := os.ReadDir(d.Path)
 	if os.IsNotExist(err) {

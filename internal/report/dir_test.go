@@ -1,6 +1,8 @@
 package report
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,13 +23,10 @@ func dirSample(fingerprint, machine string) *Report {
 func TestDirSaveLoadRoundTrip(t *testing.T) {
 	d := Dir{Path: filepath.Join(t.TempDir(), "reports")}
 	r := dirSample("sha256:aa11", "dempsey")
-	if err := d.Save(r); err != nil {
+	if err := d.Put(r); err != nil {
 		t.Fatal(err)
 	}
-	back, err := d.Load("sha256:aa11")
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := dirGet(t, d, "sha256:aa11")
 	if back.Machine != "dempsey" || back.Caches[0].SizeBytes != 16<<10 {
 		t.Errorf("round trip lost data: %+v", back)
 	}
@@ -45,19 +44,48 @@ func TestDirSaveLoadRoundTrip(t *testing.T) {
 	if got := info.Mode().Perm(); got != 0o644 {
 		t.Errorf("entry mode = %o, want 644", got)
 	}
+	// ... and hold exactly the bytes Save writes for the report.
+	saved := filepath.Join(t.TempDir(), "saved.json")
+	if err := r.Save(saved); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := os.ReadFile(saved)
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Errorf("entry file differs from Save output:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// dirGet reads a fingerprint's entry through the Store interface.
+func dirGet(t *testing.T, d Dir, fingerprint string) *Report {
+	t.Helper()
+	data, err := d.Get(fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Decode(fingerprint, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestDirSaveRejectsFingerprintless(t *testing.T) {
 	d := Dir{Path: t.TempDir()}
 	r := dirSample("", "dempsey")
-	if err := d.Save(r); err == nil {
+	if err := d.Put(r); err == nil {
 		t.Error("fingerprint-less report stored")
+	}
+	r = dirSample("sha256:aa11", "dempsey")
+	r.Schema = 1
+	var se *SchemaError
+	if err := d.Put(r); !errors.As(err, &se) || se.Schema != 1 {
+		t.Errorf("non-current schema: err = %v, want *SchemaError", err)
 	}
 }
 
 func TestDirLoadVerifiesFingerprint(t *testing.T) {
 	d := Dir{Path: t.TempDir()}
-	if err := d.Save(dirSample("sha256:aa11", "dempsey")); err != nil {
+	if err := d.Put(dirSample("sha256:aa11", "dempsey")); err != nil {
 		t.Fatal(err)
 	}
 	// Rename the entry under another fingerprint's name: Load must
@@ -65,8 +93,8 @@ func TestDirLoadVerifiesFingerprint(t *testing.T) {
 	if err := os.Rename(d.EntryPath("sha256:aa11"), d.EntryPath("sha256:bb22")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Load("sha256:bb22"); err == nil {
-		t.Error("renamed entry served under the wrong fingerprint")
+	if _, err := d.Get("sha256:bb22"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("renamed entry served under the wrong fingerprint: err = %v", err)
 	}
 }
 
@@ -82,7 +110,7 @@ func TestDirList(t *testing.T) {
 		{"sha256:bb22", "athlon3200"},
 		{"sha256:aa11", "dempsey"},
 	} {
-		if err := d.Save(dirSample(e.fp, e.machine)); err != nil {
+		if err := d.Put(dirSample(e.fp, e.machine)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,19 +137,15 @@ func TestDirList(t *testing.T) {
 
 func TestDirSaveOverwritesAtomically(t *testing.T) {
 	d := Dir{Path: t.TempDir()}
-	if err := d.Save(dirSample("sha256:aa11", "dempsey")); err != nil {
+	if err := d.Put(dirSample("sha256:aa11", "dempsey")); err != nil {
 		t.Fatal(err)
 	}
 	update := dirSample("sha256:aa11", "dempsey")
 	update.Caches[0].SizeBytes = 32 << 10
-	if err := d.Save(update); err != nil {
+	if err := d.Put(update); err != nil {
 		t.Fatal(err)
 	}
-	back, err := d.Load("sha256:aa11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Caches[0].SizeBytes != 32<<10 {
+	if back := dirGet(t, d, "sha256:aa11"); back.Caches[0].SizeBytes != 32<<10 {
 		t.Errorf("overwrite lost: %d", back.Caches[0].SizeBytes)
 	}
 	// No temp litter left behind.

@@ -258,7 +258,8 @@ func (r *Report) CacheLevel(n int) *CacheResult {
 // as a zero-filled current-schema report would silently drop or
 // invent fields, so Load refuses instead.
 type SchemaError struct {
-	// Path is the file that was rejected.
+	// Path names the rejected input: a file path, or the fingerprint
+	// of a store entry.
 	Path string
 	// Schema is the version found; 0 means the field was missing.
 	Schema int
@@ -294,12 +295,20 @@ func Load(path string) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
+	return Decode(path, data)
+}
+
+// Decode is the one boundary where stored bytes become a Report: a
+// saved file, a directory entry, a session cache entry. It parses the
+// JSON and rejects a missing or unknown schema version with a
+// *SchemaError; name labels the input in errors.
+func Decode(name string, data []byte) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("report: parse %s: %w", path, err)
+		return nil, fmt.Errorf("report: parse %s: %w", name, err)
 	}
 	if r.Schema != CurrentSchema {
-		return nil, &SchemaError{Path: path, Schema: r.Schema}
+		return nil, &SchemaError{Path: name, Schema: r.Schema}
 	}
 	return &r, nil
 }

@@ -15,7 +15,7 @@ import (
 // endpoints to the determinism contract: /v1/reports and /v1/stats
 // must serve byte-identical bodies across round trips, and the list
 // must come back sorted by fingerprint — store insertion order (and
-// the map underneath MemStore) must never leak into the wire bytes.
+// the map underneath the in-memory store) must never leak into the wire bytes.
 func TestListAndStatsByteStable(t *testing.T) {
 	_, ts := newTestRegistry(t)
 
@@ -31,19 +31,7 @@ func TestListAndStatsByteStable(t *testing.T) {
 
 	get := func(path string) []byte {
 		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s status = %d, want 200", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
+		return getBody(t, ts.URL+path)
 	}
 
 	first := get(regproto.ReportsPath)

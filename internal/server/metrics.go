@@ -247,6 +247,6 @@ func (reg *Registry) writeMetrics(w io.Writer) {
 
 	fmt.Fprintln(w, "# HELP servet_store_requests_total Per-fingerprint store reads, by outcome.")
 	fmt.Fprintln(w, "# TYPE servet_store_requests_total counter")
-	fmt.Fprintf(w, "servet_store_requests_total{result=\"hit\"} %d\n", reg.storeHits.Load())
-	fmt.Fprintf(w, "servet_store_requests_total{result=\"miss\"} %d\n", reg.storeMisses.Load())
+	fmt.Fprintf(w, "servet_store_requests_total{result=\"hit\"} %d\n", reg.store.hits.Load())
+	fmt.Fprintf(w, "servet_store_requests_total{result=\"miss\"} %d\n", reg.store.misses.Load())
 }

@@ -1,6 +1,6 @@
 // Package server implements the probe-registry server: an
 // http.Handler that stores Servet reports keyed by machine
-// fingerprint behind a pluggable Store, serves them (whole, listed,
+// fingerprint behind a report.Store, serves them (whole, listed,
 // or per probe section) to autotuners across a cluster, and runs the
 // probe engine on demand for fingerprints it has no fresh results
 // for. Identical concurrent run requests coalesce into a single
@@ -36,10 +36,14 @@ import (
 // 2 nodes the CLI defaults to.
 const maxRunNodes = 64
 
-// Registry is the probe-registry server: an http.Handler over a Store
-// of fingerprint-keyed reports with an on-demand probe engine.
+// maxTuneBudget caps a tune request's evaluations: at tens of
+// milliseconds each, an unbounded budget holds a worker for hours.
+const maxTuneBudget = 1024
+
+// Registry is the probe-registry server: an http.Handler over a
+// report.Store of fingerprint-keyed reports plus a probe engine.
 type Registry struct {
-	store       Store
+	store       *countedStore
 	parallelism int
 	baseCtx     context.Context
 	mux         *http.ServeMux
@@ -62,9 +66,6 @@ type Registry struct {
 	tuneRequests    atomic.Int64
 	tunesCoalesced  atomic.Int64
 	tuneEvaluations atomic.Int64
-
-	storeHits   atomic.Int64
-	storeMisses atomic.Int64
 
 	// metrics is the per-endpoint HTTP metrics layer (see metrics.go);
 	// accessLog, when set, records one structured line per request.
@@ -109,9 +110,9 @@ func WithBaseContext(ctx context.Context) Option {
 	return func(r *Registry) { r.baseCtx = ctx }
 }
 
-// New builds a registry over the store.
-func New(store Store, opts ...Option) *Registry {
-	reg := &Registry{store: store, parallelism: 1, baseCtx: context.Background(), metrics: newHTTPMetrics()}
+// New builds a registry over the store (NewMemStore or NewDirStore).
+func New(store report.Store, opts ...Option) *Registry {
+	reg := &Registry{store: &countedStore{Store: store}, parallelism: 1, baseCtx: context.Background(), metrics: newHTTPMetrics()}
 	for _, o := range opts {
 		o(reg)
 	}
@@ -148,8 +149,8 @@ func (reg *Registry) Stats() regproto.Stats {
 		TuneRequests:    reg.tuneRequests.Load(),
 		TunesCoalesced:  reg.tunesCoalesced.Load(),
 		TuneEvaluations: reg.tuneEvaluations.Load(),
-		StoreHits:       reg.storeHits.Load(),
-		StoreMisses:     reg.storeMisses.Load(),
+		StoreHits:       reg.store.hits.Load(),
+		StoreMisses:     reg.store.misses.Load(),
 	}
 	for _, ep := range endpoints {
 		if statsExcluded[ep] {
@@ -195,33 +196,23 @@ func (reg *Registry) handleList(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, entries)
 }
 
-// storeGet is the counted read path of the per-fingerprint store:
-// every report GET, probe-section GET and run cache lookup goes
-// through it, so the hit/miss counters in Stats and /metrics cover
-// all of them. Only a definite absence counts as a miss; a failing
-// store counts as neither.
-func (reg *Registry) storeGet(fp string) (*report.Report, error) {
-	r, err := reg.store.Get(fp)
-	switch {
-	case err == nil:
-		reg.storeHits.Add(1)
-	case errors.Is(err, ErrNotFound):
-		reg.storeMisses.Add(1)
-	}
-	return r, err
-}
-
 // handleGetReport serves GET /v1/reports/{fingerprint}: the full
-// stored report, or 404.
+// stored report, or 404. The body is the entry's canonical bytes
+// indented — exactly what encoding the decoded report would write.
 func (reg *Registry) handleGetReport(w http.ResponseWriter, req *http.Request) {
 	fp := req.PathValue("fingerprint")
-	r, err := reg.storeGet(fp)
+	data, err := reg.store.Get(fp)
+	if err == nil {
+		data, err = report.Indent(data)
+	}
 	if err != nil {
 		status, e := storeErr(err, fp)
 		writeError(w, status, e)
 		return
 	}
-	writeJSON(w, http.StatusOK, r)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(data)
 }
 
 // handlePutReport serves PUT /v1/reports/{fingerprint}: store a
@@ -240,7 +231,7 @@ func (reg *Registry) handlePutReport(w http.ResponseWriter, req *http.Request) {
 	if r.Schema != report.CurrentSchema {
 		writeError(w, http.StatusConflict, regproto.Error{
 			Code:    regproto.CodeSchemaMismatch,
-			Message: (&SchemaMismatchError{Schema: r.Schema, Want: report.CurrentSchema}).Error(),
+			Message: fmt.Sprintf("server: report schema v%d, this registry stores v%d", r.Schema, report.CurrentSchema),
 			Schema:  r.Schema,
 		})
 		return
@@ -279,7 +270,11 @@ func (reg *Registry) handlePutReport(w http.ResponseWriter, req *http.Request) {
 // provenance for are 404.
 func (reg *Registry) handleGetProbe(w http.ResponseWriter, req *http.Request) {
 	fp, probe := req.PathValue("fingerprint"), req.PathValue("probe")
-	r, err := reg.storeGet(fp)
+	data, err := reg.store.Get(fp)
+	var r *report.Report
+	if err == nil {
+		r, err = report.Decode(fp, data)
+	}
 	if err != nil {
 		status, e := storeErr(err, fp)
 		writeError(w, status, e)
@@ -402,7 +397,7 @@ func (reg *Registry) resolveRun(m *servet.Machine, rr regproto.RunRequest) (rep 
 		lock.Lock()
 		defer lock.Unlock()
 		opts := []servet.Option{
-			servet.WithCache(storeCache{reg}),
+			servet.WithCache(report.Cache{Entries: reg.store}),
 			servet.WithParallelism(reg.parallelism),
 			servet.WithSeed(rr.Seed),
 			servet.WithNoise(rr.Noise),
@@ -464,6 +459,13 @@ func (reg *Registry) handleTune(w http.ResponseWriter, req *http.Request) {
 	}
 	if tr.Budget <= 0 {
 		tr.Budget = tune.DefaultBudget
+	}
+	if tr.Budget > maxTuneBudget {
+		writeError(w, http.StatusBadRequest, regproto.Error{
+			Code:    regproto.CodeBadRequest,
+			Message: fmt.Sprintf("budget %d exceeds the limit of %d", tr.Budget, maxTuneBudget),
+		})
+		return
 	}
 	// Validate everything cheap before touching the engines: bad
 	// spaces, strategies and objectives are the client's fault and
@@ -529,36 +531,13 @@ func (reg *Registry) handleStats(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, reg.Stats())
 }
 
-// storeErr maps a Store.Get failure to its HTTP shape.
+// storeErr maps a report.Store Get failure to its HTTP shape.
 func storeErr(err error, fp string) (int, regproto.Error) {
-	if errors.Is(err, ErrNotFound) {
+	if errors.Is(err, report.ErrNotFound) {
 		return http.StatusNotFound, regproto.Error{
 			Code:    regproto.CodeNotFound,
 			Message: fmt.Sprintf("no report for fingerprint %s", fp),
 		}
 	}
 	return http.StatusInternalServerError, regproto.Error{Code: regproto.CodeInternal, Message: err.Error()}
-}
-
-// storeCache adapts the registry's Store to the session Cache
-// interface, so on-demand runs restore fresh sections straight from
-// the registry and store the merged report back — the same
-// incremental machinery a local FileCache session uses. Reads go
-// through the registry's counted storeGet, so run-triggered lookups
-// show up in the hit/miss counters alongside report GETs.
-type storeCache struct{ reg *Registry }
-
-// Lookup implements servet.Cache; any store failure is a miss (the
-// session then measures everything), matching the cache contract.
-func (c storeCache) Lookup(fingerprint string) (*servet.Report, bool) {
-	r, err := c.reg.storeGet(fingerprint)
-	if err != nil {
-		return nil, false
-	}
-	return r, true
-}
-
-// Store implements servet.Cache.
-func (c storeCache) Store(fingerprint string, r *servet.Report) error {
-	return c.reg.store.Put(r)
 }

@@ -109,12 +109,12 @@ func getReport(t *testing.T, url, fp string) *report.Report {
 // tune leader inside its singleflight long enough for every
 // concurrent request to park on it.
 type gateStore struct {
-	server.Store
+	report.Store
 	gate <-chan struct{}
 	once sync.Once
 }
 
-func (s *gateStore) Get(fp string) (*report.Report, error) {
+func (s *gateStore) Get(fp string) ([]byte, error) {
 	s.once.Do(func() { <-s.gate })
 	return s.Store.Get(fp)
 }
@@ -279,5 +279,37 @@ func TestTuneCountsAsRunSession(t *testing.T) {
 	}
 	if st := reg.Stats(); st.RunSessions != 2 || st.ProbesExecuted != 1 {
 		t.Errorf("stats after a run and a tune = %+v, want 2 run sessions and 1 probe executed", st)
+	}
+}
+
+// TestTuneBudgetCap: the evaluation budget of a tune request is
+// capped (one evaluation can take tens of milliseconds), with the cap
+// itself accepted and one more a 400 that runs no engine.
+func TestTuneBudgetCap(t *testing.T) {
+	reg, ts := newTestRegistry(t)
+	body := func(budget int) string {
+		return strings.Replace(tuneBody, `"budget": 16`, fmt.Sprintf(`"budget": %d`, budget), 1)
+	}
+	res, resp := postTune(t, ts.URL, body(1025))
+	if res != nil {
+		t.Fatal("budget 1025 accepted")
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("budget 1025: status %d, want 400", resp.StatusCode)
+	}
+	if e := decodeError(t, resp); e.Code != regproto.CodeBadRequest {
+		t.Errorf("budget 1025: code %q", e.Code)
+	}
+	if st := reg.Stats(); st.RunSessions != 0 || st.TuneEvaluations != 0 {
+		t.Errorf("over-budget request reached an engine: %+v", st)
+	}
+	// The grid over a 4-point axis stops at 4 evaluations, so the cap
+	// itself costs no more than the canonical request.
+	res, resp = postTune(t, ts.URL, body(1024))
+	if res == nil {
+		t.Fatalf("budget 1024: status %d", resp.StatusCode)
+	}
+	if res.Budget != 1024 || res.Evaluations != 4 {
+		t.Errorf("budget 1024: budget %d, evaluations %d", res.Budget, res.Evaluations)
 	}
 }

@@ -28,9 +28,9 @@ import (
 // conflict (a fingerprint or schema mismatch, mirroring FileCache's
 // *FingerprintMismatchError) surface as errors.
 //
-// Reports cross the wire as JSON, so Lookup and Store naturally hand
-// out deep copies — a RemoteCache never aliases server state, the
-// same contract the local caches honor.
+// Reports cross the wire as JSON, so Lookup decodes a fresh report
+// and Store sends bytes — a RemoteCache never aliases server state,
+// the same contract the local caches honor.
 type RemoteCache struct {
 	base    string
 	client  *http.Client
@@ -101,14 +101,15 @@ func (c *RemoteCache) Lookup(fingerprint string) (*Report, bool) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, false
 	}
-	var r Report
-	if err := json.NewDecoder(body).Decode(&r); err != nil {
+	data, err := io.ReadAll(body)
+	if err != nil {
 		return nil, false
 	}
-	if r.Schema != report.CurrentSchema || r.Fingerprint != fingerprint {
+	r, err := report.Decode(c.base, data)
+	if err != nil || r.Fingerprint != fingerprint {
 		return nil, false
 	}
-	return &r, true
+	return r, true
 }
 
 // Store implements Cache: PUT the report to the registry. A network
